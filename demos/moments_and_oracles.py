@@ -21,7 +21,6 @@ from dbarkit import (
     DiscPolynomial,
     FockExponential,
     MomentSequence,
-    moment_log,
     moment_quadrature,
 )
 
@@ -31,7 +30,7 @@ def show_family(weight, n_max=8):
     ms = MomentSequence(weight)
     print(f"{'n':>3} {'c_n^2':>22} {'ratio c_(n+1)^2/c_n^2':>24} {'|closed - quadrature|':>22}")
     for n in range(n_max + 1):
-        dev = abs(moment_log(weight, n) - moment_quadrature(weight, n))
+        dev = abs(weight.log_moment(n) - moment_quadrature(weight, n))
         print(f"{n:>3} {ms.moment(n):>22.15g} {ms.ratio(n):>24.15g} {dev:>22.3e}")
 
 

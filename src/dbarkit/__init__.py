@@ -23,9 +23,6 @@ from .weights import (
     DiscPolynomial,
     FockExponential,
     MomentSequence,
-    disc_moment_closed,
-    fock_moment_closed,
-    moment_log,
     moment_quadrature,
 )
 from .special import log_gamma
@@ -110,16 +107,13 @@ __all__ = [
     "defect_norm_quadrature",
     "defect_norm_sq",
     "diagnostics",
-    "disc_moment_closed",
     "eigenvalue",
-    "fock_moment_closed",
     "form_energy",
     "form_energy_from_moments",
     "gamma_ratio_difference",
     "hs_partial_sum",
     "kernel_eval",
     "log_gamma",
-    "moment_log",
     "moment_quadrature",
     "monomial_inner_product",
     "project_dilated",

@@ -28,6 +28,8 @@ from .errors import (
     DivergenceError,
     ParameterDomainError,
     SeriesTruncationError,
+    check_index,
+    check_rel_tol,
 )
 from .quadrature import adaptive_quad
 from .special import LOG_PI, log_factorial
@@ -42,17 +44,19 @@ def _check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
-def _check_order(n, name: str) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ParameterDomainError(f"{name} must be an integer >= 0, got {n!r}")
-    return int(n)
+def _check_cell(alpha: float, n1, n2, direction: int = 1):
+    """Validated (alpha, n1, n2); direction 2 swaps the two indices."""
+    if direction not in (1, 2):
+        raise ParameterDomainError(f"direction must be 1 or 2, got {direction!r}")
+    n1, n2 = check_index(n1, "n1"), check_index(n2, "n2")
+    if direction == 2:
+        n1, n2 = n2, n1
+    return _check_alpha(alpha), n1, n2
 
 
 def ball_moment_log(alpha: float, n1, n2) -> float:
     """ln c_{n1,n2}^2 = ln pi^2 + ln n1! + ln n2! - sum_{j=1}^{n1+n2+2} ln(alpha+j)."""
-    alpha = _check_alpha(alpha)
-    n1 = _check_order(n1, "n1")
-    n2 = _check_order(n2, "n2")
+    alpha, n1, n2 = _check_cell(alpha, n1, n2)
     denom = 0.0
     for j in range(1, n1 + n2 + 3):
         denom += math.log(alpha + j)
@@ -69,7 +73,7 @@ class BallMomentGrid:
     @classmethod
     def build(cls, alpha: float, n_max: int) -> "BallMomentGrid":
         alpha = _check_alpha(alpha)
-        n_max = _check_order(n_max, "n_max")
+        n_max = check_index(n_max, "n_max")
         grid = np.empty((n_max + 1, n_max + 1))
         grid[0, 0] = ball_moment_log(alpha, 0, 0)
         for n2 in range(n_max):
@@ -101,13 +105,7 @@ def form_energy(alpha: float, n1, n2, direction: int) -> float:
     which :func:`form_energy_from_moments` re-derives through the moment
     route for the test suite.
     """
-    alpha = _check_alpha(alpha)
-    n1 = _check_order(n1, "n1")
-    n2 = _check_order(n2, "n2")
-    if direction not in (1, 2):
-        raise ParameterDomainError(f"direction must be 1 or 2, got {direction!r}")
-    if direction == 2:
-        n1, n2 = n2, n1
+    alpha, n1, n2 = _check_cell(alpha, n1, n2, direction)
     sigma = alpha + n1 + n2
     return (alpha + n2 + 2.0) / ((sigma + 3.0) * (sigma + 2.0))
 
@@ -119,9 +117,7 @@ def ball_log_ratio(alpha: float, n1, n2) -> float:
     1-D :meth:`MomentSequence.log_ratio`); the other index direction follows
     by symmetry of the moments.
     """
-    alpha = _check_alpha(alpha)
-    n1 = _check_order(n1, "n1")
-    n2 = _check_order(n2, "n2")
+    alpha, n1, n2 = _check_cell(alpha, n1, n2)
     return math.log(n1 + 1.0) - math.log(alpha + n1 + n2 + 3.0)
 
 
@@ -137,13 +133,7 @@ def form_energy_from_moments(alpha: float, n1, n2, direction: int) -> float:
     loses ~3 digits by n1+n2 = 50).  The agreement with :func:`form_energy`
     witnesses the algebraic identity between the two closed forms.
     """
-    alpha = _check_alpha(alpha)
-    n1 = _check_order(n1, "n1")
-    n2 = _check_order(n2, "n2")
-    if direction not in (1, 2):
-        raise ParameterDomainError(f"direction must be 1 or 2, got {direction!r}")
-    if direction == 2:
-        n1, n2 = n2, n1
+    alpha, n1, n2 = _check_cell(alpha, n1, n2, direction)
     if n1 < 1:
         raise ParameterDomainError("the moment-ratio route needs n_direction >= 1")
     lr_prev = ball_log_ratio(alpha, n1 - 1, n2)
@@ -158,7 +148,7 @@ def ball_hs_partial_sum(alpha: float, N: int) -> float:
     the two-dimensional ball.  N = 0 is the empty sum.
     """
     alpha = _check_alpha(alpha)
-    N = _check_order(N, "N")
+    N = check_index(N, "N")
     total = 0.0
     for n1 in range(1, N + 1):
         for n2 in range(1, N + 1):
@@ -175,9 +165,7 @@ def ball_kernel_series(alpha: float, z, w, rel_tol: float = 1e-10) -> complex:
     bound.  Requires both arguments strictly inside the unit ball of C^2.
     """
     alpha = _check_alpha(alpha)
-    if not (1e-14 < rel_tol < 1e-2):
-        raise ParameterDomainError(
-            f"rel_tol must lie in (1e-14, 1e-2), got {rel_tol!r}")
+    check_rel_tol(rel_tol)
     z1, z2 = complex(z[0]), complex(z[1])
     w1, w2 = complex(w[0]), complex(w[1])
     if math.hypot(abs(z1), abs(z2)) >= 1.0 or math.hypot(abs(w1), abs(w2)) >= 1.0:
@@ -245,12 +233,8 @@ def ball_moment_quadrature(alpha: float, n1, n2, rel_tol: float = 1e-10) -> floa
 
         c^2 = pi^2 * int_0^1 (1-s2)^n2 [ int_0^s2 (s2-s1)^n1 s1^alpha ds1 ] ds2.
     """
-    alpha = _check_alpha(alpha)
-    n1 = _check_order(n1, "n1")
-    n2 = _check_order(n2, "n2")
-    if not (1e-14 < rel_tol < 1e-2):
-        raise ParameterDomainError(
-            f"rel_tol must lie in (1e-14, 1e-2), got {rel_tol!r}")
+    alpha, n1, n2 = _check_cell(alpha, n1, n2)
+    check_rel_tol(rel_tol)
 
     def inner(s2: float) -> float:
         def g(s1):

@@ -8,8 +8,9 @@ Subcommands
 ``reproduce``  run the acceptance criteria and write one artifact per criterion
 
 Exit codes: 0 success, 2 parameter-domain error, 3 input error (files,
-malformed data), 4 numerical failure (quadrature or series truncation),
-5 acceptance failure.
+malformed data), 4 numerical failure (divergence, quadrature or series
+truncation, overflow or any other arithmetic error, a point outside the
+convergence domain, an inconclusive supremum), 5 acceptance failure.
 
 Output is deterministic: a fixed seed yields byte-identical files.  Reals are
 printed with 17 significant digits; values whose natural log exceeds 700 in
@@ -21,7 +22,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +31,8 @@ from .criteria import CRITERIA, DEFAULT_SEED, run_criteria
 from .errors import (
     ConvergenceDomainError,
     DbarKitError,
-    DivergenceError,
     InconclusiveSupremumError,
     ParameterDomainError,
-    QuadratureError,
-    SeriesTruncationError,
 )
 from .solver import (
     HolomorphicCoeffs,
@@ -54,6 +52,9 @@ EXIT_NUMERICAL = 4
 EXIT_ACCEPTANCE = 5
 
 _LOG_OVERFLOW = 700.0
+
+#: Weight families by the name ``parse_weight`` reads before the colon.
+WEIGHT_FAMILIES = {"disc": DiscPolynomial, "fock": FockExponential}
 
 
 class InputError(DbarKitError):
@@ -98,18 +99,16 @@ def parse_weight(text: str):
             except ValueError:
                 raise ParameterDomainError(
                     f"weight parameter {key.strip()!r} is not a number: {val!r}")
-    if family == "disc":
-        if set(params) != {"alpha"}:
-            raise ParameterDomainError(
-                f"disc weight takes exactly alpha=..., got {sorted(params)}")
-        return DiscPolynomial(params["alpha"])
-    if family == "fock":
-        if set(params) != {"m"}:
-            raise ParameterDomainError(
-                f"fock weight takes exactly m=..., got {sorted(params)}")
-        return FockExponential(params["m"])
-    raise ParameterDomainError(
-        f"unknown weight family {family!r}; use disc:alpha=... or fock:m=...")
+    if family not in WEIGHT_FAMILIES:
+        raise ParameterDomainError(
+            f"unknown weight family {family!r}; use disc:alpha=... or fock:m=...")
+    cls = WEIGHT_FAMILIES[family]
+    names = {f.name for f in fields(cls)}
+    if set(params) != names:
+        raise ParameterDomainError(
+            f"{family} weight takes exactly {', '.join(sorted(names))}=..., "
+            f"got {sorted(params)}")
+    return cls(**params)
 
 
 # -- number rendering --------------------------------------------------------
@@ -168,11 +167,17 @@ def envelope_to_json(config: RunConfig, rows, verdict=None, passed=None) -> str:
     return json.dumps(body, indent=2) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _emit(config: RunConfig, rows, verdict=None, footer=None) -> int:
+    """Write the table in the configured format and destination."""
+    if config.fmt == "json":
+        text = envelope_to_json(config, rows, verdict=verdict)
+    else:
+        text = rows_to_csv(rows, footer=footer)
+    if config.out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(config.out).write_text(text, encoding="utf-8")
+    return EXIT_OK
 
 
 # -- subcommands --------------------------------------------------------------
@@ -186,11 +191,7 @@ def cmd_moments(config: RunConfig) -> int:
         log_c2 = ms.log_moment(n)
         rows.append({"n": n, "log_c2": log_c2, "c2": render_from_log(log_c2),
                      "ratio": ms.ratio(n)})
-    if config.fmt == "json":
-        _emit(envelope_to_json(config, rows), config.out)
-    else:
-        _emit(rows_to_csv(rows), config.out)
-    return EXIT_OK
+    return _emit(config, rows)
 
 
 def cmd_spectrum(config: RunConfig) -> int:
@@ -227,11 +228,7 @@ def cmd_spectrum(config: RunConfig) -> int:
                   f"ratio_tail={c.evidence.ratio_tail:.17g}",
                   f"ratio_drift={c.evidence.ratio_drift:.17g}",
                   f"decay_exponent={c.evidence.decay_exponent:.17g}"]
-    if config.fmt == "json":
-        _emit(envelope_to_json(config, rows, verdict=verdict), config.out)
-    else:
-        _emit(rows_to_csv(rows, footer=footer), config.out)
-    return EXIT_OK
+    return _emit(config, rows, verdict=verdict, footer=footer)
 
 
 def read_coefficients(path: str) -> HolomorphicCoeffs:
@@ -284,11 +281,7 @@ def cmd_solve(config: RunConfig) -> int:
     rows.append({"section": "bound_constant", "index": None, "re": None,
                  "im": None,
                  "value": bound_constant(ms, max(f.degree, 1))})
-    if config.fmt == "json":
-        _emit(envelope_to_json(config, rows), config.out)
-    else:
-        _emit(rows_to_csv(rows), config.out)
-    return EXIT_OK
+    return _emit(config, rows)
 
 
 def cmd_reproduce(config: RunConfig) -> int:
@@ -383,8 +376,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_INPUT
-    except (QuadratureError, DivergenceError, SeriesTruncationError,
-            ConvergenceDomainError, InconclusiveSupremumError) as exc:
+    except (ArithmeticError, ConvergenceDomainError,
+            InconclusiveSupremumError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
 

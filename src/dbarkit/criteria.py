@@ -47,7 +47,6 @@ from .weights import (
     DiscPolynomial,
     FockExponential,
     MomentSequence,
-    moment_log,
     moment_quadrature,
 )
 from .weights_nd import PshWeight, check_hilbert_schmidt_hypotheses, conjugate_transform
@@ -91,7 +90,7 @@ def _disc_points(rng, count: int, radius: float):
 
 def criterion_telescoping(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Partial eigenvalue sums equal the moment ratio r_N to 1e-10 relative."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows, failures = [], []
     checkpoints = (10, 100, 1000, 10000)
     for w in builtin_weights():
@@ -112,12 +111,12 @@ def criterion_telescoping(seed: int = DEFAULT_SEED) -> CriterionResult:
                 if next_cp == len(checkpoints):
                     break
     return CriterionResult("telescoping", "partial sums telescope to the moment ratio",
-                           not failures, rows, failures, time.time() - t0)
+                           not failures, rows, failures, time.perf_counter() - t0)
 
 
 def criterion_disc_hs(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Every disc weight classifies Hilbert-Schmidt with partial sums -> 1."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows, failures = [], []
     for alpha in BUILTIN_DISC_ALPHAS:
         ms = MomentSequence(DiscPolynomial(alpha))
@@ -131,12 +130,12 @@ def criterion_disc_hs(seed: int = DEFAULT_SEED) -> CriterionResult:
             failures.append(f"alpha={alpha}: verdict {c.verdict.value}, gap {dev:.3e}")
     return CriterionResult("disc-hilbert-schmidt",
                            "disc weights are always Hilbert-Schmidt",
-                           not failures, rows, failures, time.time() - t0)
+                           not failures, rows, failures, time.perf_counter() - t0)
 
 
 def criterion_fock2_flat_isometry(seed: int = DEFAULT_SEED) -> CriterionResult:
     """m=2: flat unit spectrum, S*S = identity on inputs, non-compact."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows, failures = [], []
     ms = MomentSequence(FockExponential(2.0))
     flat_dev = max(abs(eigenvalue(ms, n) - 1.0) for n in range(1, 10001))
@@ -168,12 +167,12 @@ def criterion_fock2_flat_isometry(seed: int = DEFAULT_SEED) -> CriterionResult:
         failures.append(f"verdict {c.verdict.value}, expected NonCompact")
     return CriterionResult("fock2-flat-isometry",
                            "Gaussian weight: unit spectrum and isometry",
-                           not failures, rows, failures, time.time() - t0)
+                           not failures, rows, failures, time.perf_counter() - t0)
 
 
 def criterion_fock_trichotomy(seed: int = DEFAULT_SEED) -> CriterionResult:
     """The eigenvalue limit splits at m = 2; m = 4 is compact, not HS."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows, failures = [], []
 
     v = gamma_ratio_difference(1.0, 10000)
@@ -209,12 +208,12 @@ def criterion_fock_trichotomy(seed: int = DEFAULT_SEED) -> CriterionResult:
         failures.append(f"m=4: verdict {c.verdict.value}, partial sum {s:.2f}")
     return CriterionResult("fock-trichotomy",
                            "eigenvalue trichotomy across the exponential weights",
-                           not failures, rows, failures, time.time() - t0)
+                           not failures, rows, failures, time.perf_counter() - t0)
 
 
 def criterion_ball_divergence(seed: int = DEFAULT_SEED) -> CriterionResult:
     """C^2 ball: closed-form energies check out, double sum diverges."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows, failures = [], []
     worst = 0.0
     for alpha in (0.0, 1.0, 2.0):
@@ -259,12 +258,12 @@ def criterion_ball_divergence(seed: int = DEFAULT_SEED) -> CriterionResult:
         failures.append(f"ball kernel series deviation {worst:.3e}")
     return CriterionResult("ball-divergence",
                            "two-variable ball fails the Hilbert-Schmidt test",
-                           not failures, rows, failures, time.time() - t0)
+                           not failures, rows, failures, time.perf_counter() - t0)
 
 
 def criterion_solver_exactness(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Structural identities of S(f) on random polynomial inputs."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows, failures = [], []
     rng = np.random.default_rng(seed)
     for w in builtin_weights():
@@ -294,12 +293,12 @@ def criterion_solver_exactness(seed: int = DEFAULT_SEED) -> CriterionResult:
                             f"dbar={worst_dbar:.3e}")
     return CriterionResult("solver-exactness",
                            "solution operator: exact d-bar and orthogonality",
-                           not failures, rows, failures, time.time() - t0)
+                           not failures, rows, failures, time.perf_counter() - t0)
 
 
 def criterion_norm_identity(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Coefficient norm identity vs 2-D quadrature at 1e-8 relative."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows, failures = [], []
     rng = np.random.default_rng(seed)
     for m in (2.0, 4.0):
@@ -322,19 +321,19 @@ def criterion_norm_identity(seed: int = DEFAULT_SEED) -> CriterionResult:
                 failures.append(f"m={m} rho={rho}: deviation {worst:.3e}")
     return CriterionResult("norm-identity-quadrature",
                            "defect norm identity against 2-D quadrature",
-                           not failures, rows, failures, time.time() - t0)
+                           not failures, rows, failures, time.perf_counter() - t0)
 
 
 def criterion_oracle_equivalence(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Closed-form moments against the quadrature oracle; log-convexity."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows, failures = [], []
     specs = [DiscPolynomial(a) for a in (0.0, 0.5, 1.0, 3.0)] + \
         [FockExponential(m) for m in BUILTIN_FOCK_MS]
     for w in specs:
         worst = 0.0
         for n in range(51):
-            worst = max(worst, abs(moment_log(w, n) - moment_quadrature(w, n)))
+            worst = max(worst, abs(w.log_moment(n) - moment_quadrature(w, n)))
         ok = worst <= 1e-9
         rows.append({"check": f"1d_oracle:{w.label}", "value": worst,
                      "tolerance": 1e-9, "pass": ok})
@@ -372,12 +371,12 @@ def criterion_oracle_equivalence(seed: int = DEFAULT_SEED) -> CriterionResult:
         failures.append(f"custom: convexity defect {defect:.3e}")
     return CriterionResult("oracle-equivalence",
                            "closed forms agree with the quadrature oracle",
-                           not failures, rows, failures, time.time() - t0)
+                           not failures, rows, failures, time.perf_counter() - t0)
 
 
 def criterion_reproducing(seed: int = DEFAULT_SEED) -> CriterionResult:
     """The kernel integral reproduces holomorphic inputs pointwise."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows, failures = [], []
     cases = [
         ("disc:alpha=0", MomentSequence(DiscPolynomial(0.0)),
@@ -418,12 +417,12 @@ def criterion_reproducing(seed: int = DEFAULT_SEED) -> CriterionResult:
             failures.append(f"kernel {label} at z={z}: deviation {dev:.3e}")
     return CriterionResult("reproducing-property",
                            "kernel quadrature reproduces f(z)",
-                           not failures, rows, failures, time.time() - t0)
+                           not failures, rows, failures, time.perf_counter() - t0)
 
 
 def criterion_psh_hypotheses(seed: int = DEFAULT_SEED) -> CriterionResult:
     """Hypothesis checker on |z|^2 (passes) and |z| (fails growth)."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows, failures = [], []
     gauss = PshWeight(1, lambda z: float(np.sum(np.abs(z) ** 2)))
     report = check_hilbert_schmidt_hypotheses(gauss, 1.0, 2.0)
@@ -454,7 +453,7 @@ def criterion_psh_hypotheses(seed: int = DEFAULT_SEED) -> CriterionResult:
         failures.append("|z| unexpectedly passed the superlinear growth check")
     return CriterionResult("psh-hypotheses",
                            "several-variables weight hypothesis checks",
-                           not failures, rows, failures, time.time() - t0)
+                           not failures, rows, failures, time.perf_counter() - t0)
 
 
 CRITERIA = {

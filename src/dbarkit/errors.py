@@ -1,4 +1,7 @@
-"""Exception types shared by every module of the toolkit."""
+"""Exception types shared by every module of the toolkit, and the argument
+guards that raise them."""
+
+import numpy as np
 
 
 class DbarKitError(Exception):
@@ -7,6 +10,21 @@ class DbarKitError(Exception):
 
 class ParameterDomainError(DbarKitError, ValueError):
     """A parameter lies outside its mathematical domain (alpha < 0, m <= 0, ...)."""
+
+
+def check_index(n, name: str, lo: int = 0) -> int:
+    """``n`` as a Python int, or :class:`ParameterDomainError` unless it is
+    an integer >= ``lo``."""
+    if not isinstance(n, (int, np.integer)) or n < lo:
+        raise ParameterDomainError(f"{name} must be an integer >= {lo}, got {n!r}")
+    return int(n)
+
+
+def check_rel_tol(rel_tol: float) -> None:
+    """Reject relative tolerances outside (1e-14, 1e-2)."""
+    if not (1e-14 < rel_tol < 1e-2):
+        raise ParameterDomainError(
+            f"rel_tol must lie in (1e-14, 1e-2), got {rel_tol!r}")
 
 
 class DivergenceError(DbarKitError, ArithmeticError):

@@ -25,10 +25,12 @@ from .errors import (
     ConvergenceDomainError,
     ParameterDomainError,
     SeriesTruncationError,
+    check_index,
+    check_rel_tol,
 )
 from .quadrature import adaptive_quad, unbounded_radial_quad
 from .spectrum import eigenvalue
-from .weights import DiscPolynomial, MomentSequence
+from .weights import MomentSequence
 
 _KERNEL_TERM_BUDGET = 10 ** 6
 
@@ -109,19 +111,18 @@ def kernel_eval(moments: MomentSequence, z: complex, w: complex,
     """Reproducing kernel K(z, w) = sum_k (z wbar)^k / c_k^2.
 
     The series is truncated once a ratio-test bound on the remaining tail
-    falls below ``rel_tol`` times the partial sum's magnitude.  For the disc
-    weights both arguments must lie strictly inside the unit disc.
+    falls below ``rel_tol`` times the partial sum's magnitude.  For weights
+    of finite support radius R both arguments must lie strictly inside the
+    disc of radius R.
     """
-    if not (1e-14 < rel_tol < 1e-2):
-        raise ParameterDomainError(
-            f"rel_tol must lie in (1e-14, 1e-2), got {rel_tol!r}")
+    check_rel_tol(rel_tol)
     z = complex(z)
     w = complex(w)
-    if isinstance(moments.weight, DiscPolynomial):
-        if abs(z) >= 1.0 or abs(w) >= 1.0:
-            raise ConvergenceDomainError(
-                "kernel series for disc weights needs |z| < 1 and |w| < 1, "
-                f"got |z|={abs(z)!r}, |w|={abs(w)!r}")
+    radius = moments.weight.support_radius
+    if abs(z) >= radius or abs(w) >= radius:
+        raise ConvergenceDomainError(
+            f"kernel series needs |z| < {radius!r} and |w| < {radius!r}, "
+            f"got |z|={abs(z)!r}, |w|={abs(w)!r}")
     q = z * w.conjugate()
     absq = abs(q)
     term = complex(math.exp(-moments.log_moment(0)))
@@ -179,9 +180,8 @@ def bound_constant(moments: MomentSequence, N: int) -> float:
     ``defect_norm_sq(f, rho) <= bound_constant(moments, N) * ||f||^2`` for
     every polynomial f of degree <= N and every rho in (0, 1].
     """
-    if not (isinstance(N, (int, np.integer)) and N >= 1):
-        raise ParameterDomainError(f"N must be an integer >= 1, got {N!r}")
-    return max(eigenvalue(moments, k) for k in range(int(N) + 1))
+    return max(eigenvalue(moments, k)
+               for k in range(check_index(N, "N", 1) + 1))
 
 
 def monomial_inner_product(F: HybridFunction, j: int,
@@ -198,8 +198,7 @@ def monomial_inner_product(F: HybridFunction, j: int,
     :func:`apply_solution_operator`, h_j is the float -g_{j+1} * r_j with the
     identical r_j, so the bracket cancels exactly in floating point.
     """
-    if not (isinstance(j, (int, np.integer)) and j >= 0):
-        raise ParameterDomainError(f"j must be an integer >= 0, got {j!r}")
+    j = check_index(j, "j")
     g = F.conj_factor.coefficient(j + 1)
     h = F.holo_part.coefficient(j)
     if g == 0 and h == 0:
@@ -241,21 +240,27 @@ def _theta_count(degree: int, minimum: int = 32) -> int:
     return n
 
 
-def _radial_profile(weight, radii, fn):
-    """2 pi * r * density(r) * mean_theta fn(w) on the circle |w| = r.
+def _radial_integral(weight, fn, rel_tol: float, points):
+    """Integral over the support of 2 pi * r * density(r) * fn(r).
 
-    ``fn`` maps an ndarray of points w to values; rows whose density already
-    underflowed to zero are skipped so the polynomial factors can never
-    produce inf * 0.
+    ``fn`` maps an ndarray of radii to the angular means of the integrand;
+    radii whose density already underflowed to zero are skipped so the
+    polynomial factors can never produce inf * 0.  ``points`` seed the
+    subdivision when the support is unbounded.
     """
-    radii = np.asarray(radii, dtype=float)
-    dens = weight.density(radii)
-    out = np.zeros(radii.shape, dtype=complex)
-    mask = dens > 0.0
-    if np.any(mask):
-        vals = fn(radii[mask])
-        out[mask] = 2.0 * math.pi * radii[mask] * dens[mask] * vals
-    return out
+    def radial(radii):
+        radii = np.asarray(radii, dtype=float)
+        dens = weight.density(radii)
+        out = np.zeros(radii.shape, dtype=complex)
+        mask = dens > 0.0
+        if np.any(mask):
+            vals = fn(radii[mask])
+            out[mask] = 2.0 * math.pi * radii[mask] * dens[mask] * vals
+        return out
+
+    if math.isinf(weight.support_radius):
+        return unbounded_radial_quad(radial, rel_tol=rel_tol, points=points)[0]
+    return adaptive_quad(radial, 0.0, weight.support_radius, rel_tol=rel_tol)[0]
 
 
 def defect_norm_quadrature(f: HolomorphicCoeffs, rho: float,
@@ -279,19 +284,9 @@ def defect_norm_quadrature(f: HolomorphicCoeffs, rho: float,
         diff = np.conjugate(w) * f(rho * w) - proj(w)
         return np.mean(diff.real ** 2 + diff.imag ** 2, axis=1)
 
-    def radial(rs):
-        return _radial_profile(weight, rs, angular_mean)
-
-    if math.isinf(weight.support_radius):
-        d = max(f.degree, 0)
-        m = getattr(weight, "m", 2.0)
-        peak = ((2.0 * d + 3.0) / m) ** (1.0 / m)
-        value, _ = unbounded_radial_quad(
-            radial, rel_tol=0.25 * rel_tol,
-            points=[0.5 * peak, peak, 2.0 * peak])
-    else:
-        value, _ = adaptive_quad(radial, 0.0, weight.support_radius,
-                                 rel_tol=0.25 * rel_tol)
+    peak = weight.peak_radius(max(f.degree, 0) + 1)
+    value = _radial_integral(weight, angular_mean, 0.25 * rel_tol,
+                             [0.5 * peak, peak, 2.0 * peak])
     return float(np.real(value))
 
 
@@ -303,17 +298,16 @@ def reproduce_check(moments: MomentSequence, f: HolomorphicCoeffs, z: complex,
     to low degrees (<= 10) where the angular aliasing of the fixed 128-angle
     grid is far below every tolerance in use.
     """
-    if not (1e-14 < rel_tol < 1e-2):
-        raise ParameterDomainError(
-            f"rel_tol must lie in (1e-14, 1e-2), got {rel_tol!r}")
+    check_rel_tol(rel_tol)
     if f.degree > 10:
         raise ParameterDomainError(
             f"reproduce_check is restricted to degree <= 10, got {f.degree}")
     z = complex(z)
     weight = moments.weight
-    if isinstance(weight, DiscPolynomial) and abs(z) >= 1.0:
+    if abs(z) >= weight.support_radius:
         raise ConvergenceDomainError(
-            f"evaluation point must satisfy |z| < 1, got |z|={abs(z)!r}")
+            f"evaluation point must satisfy |z| < {weight.support_radius!r}, "
+            f"got |z|={abs(z)!r}")
     ntheta = 128
     phases = np.exp(2j * math.pi * np.arange(ntheta) / ntheta)
     absz = abs(z)
@@ -351,18 +345,7 @@ def reproduce_check(moments: MomentSequence, f: HolomorphicCoeffs, z: complex,
             v = v * u + c
         return np.mean(v * f(w), axis=1)
 
-    def radial(rs):
-        return _radial_profile(weight, rs, angular_mean)
-
-    if math.isinf(weight.support_radius):
-        m = getattr(weight, "m", 2.0)
-        d = max(f.degree, 0)
-        peak = ((2.0 * d + 3.0) / m) ** (1.0 / m)
-        guess = max(peak, absz, 1.0)
-        value, _ = unbounded_radial_quad(
-            radial, rel_tol=0.05 * rel_tol,
-            points=[0.5 * guess, guess, 2.0 * guess, 4.0 * guess])
-    else:
-        value, _ = adaptive_quad(radial, 0.0, weight.support_radius,
-                                 rel_tol=0.05 * rel_tol)
-    return complex(value)
+    guess = max(weight.peak_radius(max(f.degree, 0) + 1), absz, 1.0)
+    return complex(_radial_integral(
+        weight, angular_mean, 0.05 * rel_tol,
+        [0.5 * guess, guess, 2.0 * guess, 4.0 * guess]))

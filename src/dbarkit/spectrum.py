@@ -24,8 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterDomainError
-from .special import log_gamma_ratio, log_gamma_second_difference
+from .errors import ParameterDomainError, check_index
 from .weights import FockExponential, MomentSequence
 
 #: Fitted decay exponents above this value count as "lambda_n -> 0".
@@ -83,15 +82,7 @@ def gamma_ratio_difference(m: float, k: int) -> float:
     asymptotics studies.  As k grows it tends to infinity for 0 < m < 2,
     equals 1 identically for m = 2, and tends to zero for m > 2.
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ParameterDomainError(f"k must be an integer >= 1, got {k!r}")
-    if not (math.isfinite(m) and m > 0.0):
-        raise ParameterDomainError(f"m must be positive, got {m!r}")
-    y = (2.0 * k + 2.0) / m
-    s = 2.0 / m
-    delta = log_gamma_second_difference(y, s)
-    r_prev = math.exp(log_gamma_ratio(y - s, s))
-    return r_prev * math.expm1(delta)
+    return FockExponential(m).eigenvalue(check_index(k, "k", 1))
 
 
 def stirling_surrogate(m: float, k: int) -> float:
@@ -100,8 +91,7 @@ def stirling_surrogate(m: float, k: int) -> float:
     Shares the limit behavior of :func:`gamma_ratio_difference` (Stirling),
     and is exact for m = 2.
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ParameterDomainError(f"k must be an integer >= 1, got {k!r}")
+    k = check_index(k, "k", 1)
     if not (math.isfinite(m) and m > 0.0):
         raise ParameterDomainError(f"m must be positive, got {m!r}")
     e = 2.0 / m
@@ -109,14 +99,13 @@ def stirling_surrogate(m: float, k: int) -> float:
 
 
 def eigenvalue(moments: MomentSequence, n: int) -> float:
-    """lambda_n of S*S for the weight behind ``moments``."""
-    if not (isinstance(n, (int, np.integer)) and n >= 0):
-        raise ParameterDomainError(f"n must be an integer >= 0, got {n!r}")
+    """lambda_n of S*S: the weight's closed form where it has one, else
+    r_{n-1} * expm1(ln r_n - ln r_{n-1}) from the cached moments."""
+    n = check_index(n, "n")
+    if moments.weight.eigenvalue is not None:
+        return moments.weight.eigenvalue(n)
     if n == 0:
         return moments.ratio(0)
-    w = moments.weight
-    if isinstance(w, FockExponential):
-        return gamma_ratio_difference(w.m, int(n))
     lr_prev = moments.log_ratio(n - 1)
     lr = moments.log_ratio(n)
     return math.exp(lr_prev) * math.expm1(lr - lr_prev)
@@ -127,10 +116,8 @@ def hs_partial_sum(moments: MomentSequence, N: int) -> float:
 
     Telescopes to the moment ratio r_N = c_{N+1}^2 / c_N^2.
     """
-    if not (isinstance(N, (int, np.integer)) and N >= 0):
-        raise ParameterDomainError(f"N must be an integer >= 0, got {N!r}")
     total = 0.0
-    for n in range(int(N) + 1):
+    for n in range(check_index(N, "N") + 1):
         total += eigenvalue(moments, n)
     return total
 
@@ -169,16 +156,11 @@ def classify(moments: MomentSequence, tail_start: int = 1000,
     NonCompact at desk scale.  The evidence record accompanies every verdict
     so callers can judge, and all thresholds are overridable.
     """
-    if not (isinstance(tail_len, (int, np.integer)) and tail_len >= 10):
-        raise ParameterDomainError(f"tail_len must be >= 10, got {tail_len!r}")
-    if not (isinstance(tail_start, (int, np.integer)) and tail_start >= 1):
-        raise ParameterDomainError(
-            f"tail_start must be an integer >= 1, got {tail_start!r}")
+    a = check_index(tail_start, "tail_start", 1)
+    b = a + check_index(tail_len, "tail_len", 10)
     if not (eps_zero > 0.0 and big > 0.0):
         raise ParameterDomainError("eps_zero and big must be positive")
 
-    a = int(tail_start)
-    b = a + int(tail_len)
     samples = np.unique(np.linspace(a, b, min(65, b - a + 1)).astype(int))
     lams = np.array([eigenvalue(moments, int(n)) for n in samples])
     ratios = np.array([moments.ratio(int(n)) for n in samples])
@@ -210,9 +192,7 @@ def diagnostics(moments: MomentSequence, n_max: int,
     The classification window is fitted into [n_max // 2, n_max]; when that
     leaves fewer than 10 indices the classification is omitted.
     """
-    if not (isinstance(n_max, (int, np.integer)) and n_max >= 0):
-        raise ParameterDomainError(f"n_max must be an integer >= 0, got {n_max!r}")
-    n_max = int(n_max)
+    n_max = check_index(n_max, "n_max")
     lams = np.empty(n_max + 1)
     ratios = np.empty(n_max + 1)
     sums = np.empty(n_max + 1)

@@ -15,11 +15,21 @@ kept in natural-log form throughout: the factorial-type growth of c_n^2
 overflows doubles near n = 170, while every quantity the toolkit consumes
 (ratios, eigenvalues, kernel coefficients) only needs differences of logs.
 
-Closed forms exist for the first two families; the adaptive quadrature in
-:func:`moment_quadrature` is deliberately kept independent of them and acts
-as the verification oracle.  For custom weights the quadrature is the only
-route.  Orthogonality of the monomials is automatic for radial densities;
-their *completeness* cannot be decided from samples and remains the caller's
+Every family implements one protocol, so the rest of the toolkit asks the
+weight instead of testing which family it is:
+
+* ``support_radius``, ``density(r)`` and ``label``;
+* ``log_moment(n)`` -- ln c_n^2, in closed form or by quadrature;
+* ``next_log_moment(logs, rel_tol)`` -- the next entry of a moment cache;
+* ``integrate_moment(n, rel_tol)`` -- the quadrature of c_n^2 (the oracle);
+* ``peak_radius(n)`` -- where r^(2n+1) density(r) peaks, a quadrature breakpoint;
+* ``log_ratio(n)`` and ``eigenvalue(n)`` -- ln(c_{n+1}^2 / c_n^2) and lambda_n
+  of S*S in closed form, or ``None`` where the cached moments supply them.
+
+The quadrature is deliberately kept independent of the closed forms and acts
+as the verification oracle.  For custom weights it is the only route.
+Orthogonality of the monomials is automatic for radial densities; their
+*completeness* cannot be decided from samples and remains the caller's
 responsibility for custom weights.
 """
 
@@ -29,9 +39,16 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterDomainError
+from .errors import DivergenceError, ParameterDomainError, check_index, check_rel_tol
 from .quadrature import adaptive_quad, unbounded_radial_quad
-from .special import LOG_2PI, LOG_PI, log_factorial, log_gamma, log_gamma_ratio
+from .special import (
+    LOG_2PI,
+    LOG_PI,
+    log_factorial,
+    log_gamma,
+    log_gamma_ratio,
+    log_gamma_second_difference,
+)
 
 
 @dataclass(frozen=True)
@@ -39,6 +56,7 @@ class DiscPolynomial:
     """Weight (1 - |z|^2)^alpha on the unit disc, alpha >= 0."""
 
     alpha: float
+    support_radius = 1.0
 
     def __post_init__(self):
         a = float(self.alpha)
@@ -46,10 +64,6 @@ class DiscPolynomial:
             raise ParameterDomainError(
                 f"DiscPolynomial requires alpha >= 0, got {self.alpha!r}")
         object.__setattr__(self, "alpha", a)
-
-    @property
-    def support_radius(self) -> float:
-        return 1.0
 
     def density(self, r):
         r = np.asarray(r, dtype=float)
@@ -60,12 +74,54 @@ class DiscPolynomial:
     def label(self) -> str:
         return f"disc:alpha={self.alpha:g}"
 
+    def log_moment(self, n) -> float:
+        """ln c_n^2 = ln pi + ln n! - sum_{j=1}^{n+1} ln(alpha+j).
+
+        Accumulated termwise in log domain, so no factorial is ever formed.
+        """
+        n = check_index(n, "moment order")
+        denom = 0.0
+        for j in range(1, n + 2):
+            denom += math.log(self.alpha + j)
+        return LOG_PI + log_factorial(n) - denom
+
+    def next_log_moment(self, logs, rel_tol) -> float:
+        if not logs:
+            return LOG_PI - math.log(self.alpha + 1.0)
+        return logs[-1] + self.log_ratio(len(logs) - 1)
+
+    def log_ratio(self, n) -> float:
+        """ln((n+1) / (alpha+n+2))."""
+        n = check_index(n, "moment order")
+        return math.log(n + 1.0) - math.log(self.alpha + n + 2.0)
+
+    def eigenvalue(self, n) -> float:
+        n = check_index(n, "n")
+        if n == 0:
+            return math.exp(self.log_ratio(0))
+        lr_prev = self.log_ratio(n - 1)
+        return math.exp(lr_prev) * math.expm1(self.log_ratio(n) - lr_prev)
+
+    def integrate_moment(self, n, rel_tol):
+        power = 2 * n + 1
+
+        def f(r):
+            return 2.0 * math.pi * r ** power * self.density(r)
+
+        value, _ = adaptive_quad(f, 0.0, 1.0, rel_tol=0.25 * rel_tol)
+        return value
+
+    def peak_radius(self, n) -> float:
+        """sqrt((2n+1) / (2n+1+2 alpha))."""
+        return math.sqrt((2.0 * n + 1.0) / (2.0 * n + 1.0 + 2.0 * self.alpha))
+
 
 @dataclass(frozen=True)
 class FockExponential:
     """Weight exp(-|z|^m) on the whole plane, m > 0."""
 
     m: float
+    support_radius = math.inf
 
     def __post_init__(self):
         m = float(self.m)
@@ -74,10 +130,6 @@ class FockExponential:
                 f"FockExponential requires m > 0, got {self.m!r}")
         object.__setattr__(self, "m", m)
 
-    @property
-    def support_radius(self) -> float:
-        return math.inf
-
     def density(self, r):
         r = np.asarray(r, dtype=float)
         return np.exp(-(r ** self.m))
@@ -85,6 +137,56 @@ class FockExponential:
     @property
     def label(self) -> str:
         return f"fock:m={self.m:g}"
+
+    def log_moment(self, n) -> float:
+        """ln c_n^2 = ln(2 pi / m) + ln Gamma((2n+2)/m).
+
+        The identity c_n^2 = (2 pi / m) Gamma((2n+2)/m) follows from
+        substituting u = r^m in the defining integral; the quadrature oracle
+        revalidates it in the test suite.
+        """
+        n = check_index(n, "moment order")
+        return LOG_2PI - math.log(self.m) + log_gamma((2.0 * n + 2.0) / self.m)
+
+    def next_log_moment(self, logs, rel_tol) -> float:
+        return self.log_moment(len(logs))
+
+    def log_ratio(self, n) -> float:
+        """ln Gamma((2n+4)/m) - ln Gamma((2n+2)/m), without either log-gamma."""
+        n = check_index(n, "moment order")
+        return log_gamma_ratio((2.0 * n + 2.0) / self.m, 2.0 / self.m)
+
+    def eigenvalue(self, n) -> float:
+        """r_{n-1} * expm1(second log-gamma difference), cancellation-free."""
+        n = check_index(n, "n")
+        if n == 0:
+            return math.exp(self.log_ratio(0))
+        # r_{n-1} is recomputed from y - s rather than taken from
+        # log_ratio(n - 1): (2n+2)/m - 2/m and 2n/m can differ in the last bit
+        y = (2.0 * n + 2.0) / self.m
+        s = 2.0 / self.m
+        delta = log_gamma_second_difference(y, s)
+        return math.exp(log_gamma_ratio(y - s, s)) * math.expm1(delta)
+
+    def integrate_moment(self, n, rel_tol):
+        power = 2 * n + 1
+        m = self.m
+
+        def f(r):
+            r = np.asarray(r, dtype=float)
+            with np.errstate(divide="ignore"):
+                expo = LOG_2PI + power * np.log(r) - r ** m
+            return np.exp(expo)
+
+        peak = self.peak_radius(n)
+        value, _ = unbounded_radial_quad(
+            f, rel_tol=0.25 * rel_tol,
+            points=[0.25 * peak, 0.5 * peak, peak, 2.0 * peak, 4.0 * peak])
+        return value
+
+    def peak_radius(self, n) -> float:
+        """((2n+1)/m)^(1/m)."""
+        return ((2.0 * n + 1.0) / self.m) ** (1.0 / self.m)
 
 
 @dataclass(frozen=True)
@@ -98,6 +200,10 @@ class CustomRadial:
 
     density_fn: Callable = field(compare=False)
     support_radius: float = math.inf
+
+    # no closed forms: a MomentSequence derives both from its cached moments
+    log_ratio = None
+    eigenvalue = None
 
     def __post_init__(self):
         rr = float(self.support_radius)
@@ -123,93 +229,19 @@ class CustomRadial:
     def label(self) -> str:
         return "custom"
 
+    def log_moment(self, n) -> float:
+        """ln c_n^2 by quadrature, the only route for a custom density."""
+        return moment_quadrature(self, n)
 
-WeightSpec = Union[DiscPolynomial, FockExponential, CustomRadial]
+    def next_log_moment(self, logs, rel_tol) -> float:
+        return moment_quadrature(self, len(logs), rel_tol)
 
-
-def _check_order(n) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ParameterDomainError(f"moment order must be an integer >= 0, got {n!r}")
-    return int(n)
-
-
-def disc_moment_closed(alpha: float, n) -> float:
-    """ln c_n^2 for the disc weight: ln pi + ln n! - sum_{j=1}^{n+1} ln(alpha+j).
-
-    Accumulated termwise in log domain, so no factorial is ever formed.
-    """
-    n = _check_order(n)
-    if not (math.isfinite(alpha) and alpha >= 0.0):
-        raise ParameterDomainError(f"disc weight requires alpha >= 0, got {alpha!r}")
-    denom = 0.0
-    for j in range(1, n + 2):
-        denom += math.log(alpha + j)
-    return LOG_PI + log_factorial(n) - denom
-
-
-def fock_moment_closed(m: float, n) -> float:
-    """ln c_n^2 for the exponential weight: ln(2 pi / m) + ln Gamma((2n+2)/m).
-
-    The identity c_n^2 = (2 pi / m) Gamma((2n+2)/m) follows from substituting
-    u = r^m in the defining integral; the quadrature oracle revalidates it in
-    the test suite.
-    """
-    n = _check_order(n)
-    if not (math.isfinite(m) and m > 0.0):
-        raise ParameterDomainError(f"fock weight requires m > 0, got {m!r}")
-    return LOG_2PI - math.log(m) + log_gamma((2.0 * n + 2.0) / m)
-
-
-def moment_log(weight: WeightSpec, n) -> float:
-    """ln c_n^2 by closed form where one exists, by quadrature otherwise."""
-    n = _check_order(n)
-    if isinstance(weight, DiscPolynomial):
-        return disc_moment_closed(weight.alpha, n)
-    if isinstance(weight, FockExponential):
-        return fock_moment_closed(weight.m, n)
-    if isinstance(weight, CustomRadial):
-        return moment_quadrature(weight, n)
-    raise ParameterDomainError(f"unknown weight specification {weight!r}")
-
-
-def moment_quadrature(weight: WeightSpec, n, rel_tol: float = 1e-10) -> float:
-    """ln c_n^2 by adaptive quadrature of 2 pi * int r^(2n+1) density(r) dr.
-
-    Unbounded supports are folded onto [0, 1) by r = t/(1-t), so the tail is
-    charged to the ordinary error estimate.  Independent of the closed forms;
-    this is the oracle the closed forms are tested against.
-    """
-    n = _check_order(n)
-    if not (1e-14 < rel_tol < 1e-2):
-        raise ParameterDomainError(
-            f"rel_tol must lie in (1e-14, 1e-2), got {rel_tol!r}")
-    power = 2 * n + 1
-
-    if isinstance(weight, DiscPolynomial):
-        alpha = weight.alpha
-
-        def f(r):
-            base = np.clip(1.0 - r * r, 0.0, None)
-            return 2.0 * math.pi * r ** power * base ** alpha
-
-        value, _ = adaptive_quad(f, 0.0, 1.0, rel_tol=0.25 * rel_tol)
-    elif isinstance(weight, FockExponential):
-        m = weight.m
+    def integrate_moment(self, n, rel_tol):
+        power = 2 * n + 1
 
         def f(r):
             r = np.asarray(r, dtype=float)
-            with np.errstate(divide="ignore"):
-                expo = LOG_2PI + power * np.log(r) - r ** m
-            return np.exp(expo)
-
-        peak = (power / m) ** (1.0 / m)
-        value, _ = unbounded_radial_quad(
-            f, rel_tol=0.25 * rel_tol,
-            points=[0.25 * peak, 0.5 * peak, peak, 2.0 * peak, 4.0 * peak])
-    elif isinstance(weight, CustomRadial):
-        def f(r):
-            r = np.asarray(r, dtype=float)
-            dens = weight.density(r)
+            dens = self.density(r)
             if np.any(dens < 0.0):
                 raise ParameterDomainError(
                     "custom radial density returned negative values")
@@ -220,7 +252,7 @@ def moment_quadrature(weight: WeightSpec, n, rel_tol: float = 1e-10) -> float:
             return out
 
         try:
-            if math.isinf(weight.support_radius):
+            if math.isinf(self.support_radius):
                 value, _ = unbounded_radial_quad(f, rel_tol=0.25 * rel_tol,
                                                  initial=32)
                 # the substitution clamps at r ~ 1e12, which turns a slowly
@@ -233,7 +265,7 @@ def moment_quadrature(weight: WeightSpec, n, rel_tol: float = 1e-10) -> float:
                         f"moment of order {n} looks divergent: the integrand "
                         "has not decayed by r = 1e8", order=n)
             else:
-                value, _ = adaptive_quad(f, 0.0, weight.support_radius,
+                value, _ = adaptive_quad(f, 0.0, self.support_radius,
                                          rel_tol=0.25 * rel_tol, initial=16)
         except DivergenceError as exc:
             if exc.order is not None:
@@ -241,10 +273,31 @@ def moment_quadrature(weight: WeightSpec, n, rel_tol: float = 1e-10) -> float:
             raise DivergenceError(
                 f"moment of order {n} diverges for the custom density",
                 order=n) from exc
-    else:
-        raise ParameterDomainError(f"unknown weight specification {weight!r}")
+        return value
 
-    value = float(np.real(value))
+    def peak_radius(self, n) -> float:
+        """((2n+1)/2)^(1/2), the peak of r^(2n+1) exp(-r^2).
+
+        A density given by samples has no known peak, so the Gaussian one
+        stands in.  It only places the breakpoints that seed a quadrature's
+        subdivision: a poor guess costs panels, not accuracy.
+        """
+        return ((2.0 * n + 1.0) / 2.0) ** 0.5
+
+
+WeightSpec = Union[DiscPolynomial, FockExponential, CustomRadial]
+
+
+def moment_quadrature(weight: WeightSpec, n, rel_tol: float = 1e-10) -> float:
+    """ln c_n^2 by adaptive quadrature of 2 pi * int r^(2n+1) density(r) dr.
+
+    Unbounded supports are folded onto [0, 1) by r = t/(1-t), so the tail is
+    charged to the ordinary error estimate.  Independent of the closed forms;
+    this is the oracle the closed forms are tested against.
+    """
+    n = check_index(n, "moment order")
+    check_rel_tol(rel_tol)
+    value = float(np.real(weight.integrate_moment(n, rel_tol)))
     if not (math.isfinite(value) and value > 0.0):
         raise DivergenceError(
             f"moment of order {n} is not a finite positive number "
@@ -275,19 +328,10 @@ class MomentSequence:
 
     def ensure(self, n: int) -> None:
         """Extend the cache so that ln c_k^2 is available for all k <= n."""
-        n = _check_order(n)
-        w = self.weight
+        n = check_index(n, "moment order")
         while len(self._logs) <= n:
-            k = len(self._logs)
-            if isinstance(w, DiscPolynomial):
-                if k == 0:
-                    self._logs.append(LOG_PI - math.log(w.alpha + 1.0))
-                else:
-                    self._logs.append(self._logs[k - 1] + self.log_ratio(k - 1))
-            elif isinstance(w, FockExponential):
-                self._logs.append(fock_moment_closed(w.m, k))
-            else:
-                self._logs.append(moment_quadrature(w, k, self._quad_rel_tol))
+            self._logs.append(
+                self.weight.next_log_moment(self._logs, self._quad_rel_tol))
 
     @property
     def computed_upto(self) -> int:
@@ -309,13 +353,10 @@ class MomentSequence:
         return math.exp(self.log_moment(n))
 
     def log_ratio(self, n: int) -> float:
-        """ln(c_{n+1}^2 / c_n^2), with variant-specific cancellation control."""
-        n = _check_order(n)
-        w = self.weight
-        if isinstance(w, DiscPolynomial):
-            return math.log(n + 1.0) - math.log(w.alpha + n + 2.0)
-        if isinstance(w, FockExponential):
-            return log_gamma_ratio((2.0 * n + 2.0) / w.m, 2.0 / w.m)
+        """ln(c_{n+1}^2 / c_n^2): the weight's closed form where it has one."""
+        if self.weight.log_ratio is not None:
+            return self.weight.log_ratio(n)
+        n = check_index(n, "moment order")
         return self.log_moment(n + 1) - self.log_moment(n)
 
     def ratio(self, n: int) -> float:
@@ -328,7 +369,7 @@ class MomentSequence:
         Nonpositive (up to rounding) for every genuine weight, by
         Cauchy-Schwarz on the defining integrals.
         """
-        n_max = _check_order(n_max)
+        n_max = check_index(n_max, "moment order")
         worst = -math.inf
         for n in range(1, n_max):
             worst = max(worst, 0.5 * (self.log_ratio(n - 1) - self.log_ratio(n)))

@@ -78,6 +78,15 @@ class PshWeight:
         return vals
 
 
+def _check_grid(grid: int, dim: int) -> None:
+    if grid < 4:
+        raise ParameterDomainError(f"grid must be at least 4, got {grid!r}")
+    if grid ** (2 * dim) > _MAX_GRID_POINTS:
+        raise ParameterDomainError(
+            f"grid={grid} in dimension {dim} means {grid ** (2 * dim)} points; "
+            "pass a smaller grid")
+
+
 def _axis_grid(center: np.ndarray, halfwidth: float, grid: int, dim: int):
     """Cartesian product grid of complex points around ``center``."""
     axes = [np.linspace(-halfwidth, halfwidth, grid)] * (2 * dim)
@@ -120,12 +129,7 @@ def conjugate_transform(weight: PshWeight, w, search_radius: float | None = None
         search_radius = 8.0 * (1.0 + float(np.linalg.norm(wv)))
     if not search_radius > 0.0:
         raise ParameterDomainError(f"search_radius must be positive, got {search_radius!r}")
-    if grid < 4:
-        raise ParameterDomainError(f"grid must be at least 4, got {grid!r}")
-    if grid ** (2 * dim) > _MAX_GRID_POINTS:
-        raise ParameterDomainError(
-            f"grid={grid} in dimension {dim} means {grid ** (2 * dim)} points; "
-            "pass a smaller grid")
+    _check_grid(grid, dim)
 
     def supremand(pts) -> np.ndarray:
         return np.real(pts @ np.conj(wv)) - weight.evaluate_batch(pts)
@@ -153,12 +157,7 @@ def sup_shift(weight: PshWeight, z, grid: int = 64, refine_rounds: int = 2) -> f
     """
     dim = weight.dimension
     zv = np.asarray(z, dtype=complex).reshape(dim)
-    if grid < 4:
-        raise ParameterDomainError(f"grid must be at least 4, got {grid!r}")
-    if grid ** (2 * dim) > _MAX_GRID_POINTS:
-        raise ParameterDomainError(
-            f"grid={grid} in dimension {dim} means {grid ** (2 * dim)} points; "
-            "pass a smaller grid")
+    _check_grid(grid, dim)
 
     def project(pts):
         offs = pts - zv[None, :]

@@ -21,6 +21,16 @@ class TestParseWeight:
             with pytest.raises(ParameterDomainError):
                 parse_weight(text)
 
+    def test_label_round_trip(self):
+        # labels print parameters with %g, so short decimals round-trip
+        for w in (DiscPolynomial(0.0), DiscPolynomial(2.5), DiscPolynomial(7.3),
+                  FockExponential(2.0), FockExponential(0.5), FockExponential(4.0)):
+            assert parse_weight(w.label) == w
+
+    def test_unknown_family_exit_code(self, capsys):
+        assert main(["moments", "--weight", "gauss:m=2"]) == 2
+        assert "unknown weight family" in capsys.readouterr().err
+
 
 class TestRenderFromLog:
     def test_representable(self):
@@ -54,6 +64,11 @@ class TestMoments:
     def test_parameter_error_exit_code(self, capsys):
         assert main(["moments", "--weight", "disc:alpha=-1"]) == 2
         assert "parameter error" in capsys.readouterr().err
+
+    def test_overflowing_ratio_exit_code(self, capsys):
+        # the ratio c_1^2 / c_0^2 of exp(-|z|^0.001) leaves the double range
+        assert main(["moments", "--weight", "fock:m=1e-3"]) == 4
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_json_envelope(self, capsys):
         assert main(["moments", "--weight", "fock:m=2", "--n-max", "2",
@@ -126,6 +141,13 @@ class TestSolve:
 
     def test_missing_file(self, capsys):
         assert main(["solve", "--weight", "fock:m=2", "/nonexistent.json"]) == 3
+
+    def test_overflowing_norm_exit_code(self, tmp_path, capsys):
+        # c_k^2 = pi k! overflows a double before k = 300
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps([[1, 0]] * 300))
+        assert main(["solve", "--weight", "fock:m=2", str(path)]) == 4
+        assert "numerical failure" in capsys.readouterr().err
 
 
 class TestReproduce:

@@ -1,6 +1,7 @@
 """The solution operator: coefficient algebra and its quadrature oracles."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +21,12 @@ from dbarkit.solver import (
     reproduce_check,
     space_norm_sq,
 )
-from dbarkit.weights import DiscPolynomial, FockExponential, MomentSequence
+from dbarkit.weights import (
+    CustomRadial,
+    DiscPolynomial,
+    FockExponential,
+    MomentSequence,
+)
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +126,17 @@ class TestKernel:
     def test_rel_tol_domain(self, disc0):
         with pytest.raises(ParameterDomainError):
             kernel_eval(disc0, 0.1, 0.1, rel_tol=1.0)
+
+    def test_custom_support_domain(self):
+        # the point is rejected from the support radius, before any moment
+        # quadrature runs
+        ms = MomentSequence(CustomRadial(lambda r: np.ones_like(r), 1.0))
+        t0 = time.perf_counter()
+        with pytest.raises(ConvergenceDomainError):
+            kernel_eval(ms, 1.5, 1.5)
+        with pytest.raises(ConvergenceDomainError):
+            kernel_eval(ms, 0.5, 1.0)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_term_budget(self, disc0, monkeypatch):
         import dbarkit.solver as solver_mod
@@ -319,3 +336,10 @@ class TestQuadratureOracles:
     def test_reproduce_domain(self, disc0):
         with pytest.raises(ConvergenceDomainError):
             reproduce_check(disc0, HolomorphicCoeffs([1.0]), 1.5)
+
+    def test_reproduce_custom_support_domain(self):
+        ms = MomentSequence(CustomRadial(lambda r: np.ones_like(r), 2.0))
+        t0 = time.perf_counter()
+        with pytest.raises(ConvergenceDomainError):
+            reproduce_check(ms, HolomorphicCoeffs([1.0]), 2.5)
+        assert time.perf_counter() - t0 < 1.0

@@ -11,9 +11,6 @@ from dbarkit.weights import (
     DiscPolynomial,
     FockExponential,
     MomentSequence,
-    disc_moment_closed,
-    fock_moment_closed,
-    moment_log,
     moment_quadrature,
 )
 
@@ -23,28 +20,30 @@ LOG_PI = math.log(math.pi)
 class TestClosedForms:
     def test_disc_trivial_area(self):
         # integral of 1 over the unit disc is pi
-        assert disc_moment_closed(0.0, 0) == pytest.approx(LOG_PI, rel=1e-15)
+        assert DiscPolynomial(0.0).log_moment(0) == pytest.approx(LOG_PI, rel=1e-15)
 
     def test_disc_examples(self):
-        assert disc_moment_closed(0.0, 1) == pytest.approx(math.log(math.pi / 2), rel=1e-14)
-        assert disc_moment_closed(0.0, 2) == pytest.approx(math.log(math.pi / 3), rel=1e-14)
-        assert disc_moment_closed(1.0, 0) == pytest.approx(math.log(math.pi / 2), rel=1e-14)
+        disc0, disc1 = DiscPolynomial(0.0), DiscPolynomial(1.0)
+        assert disc0.log_moment(1) == pytest.approx(math.log(math.pi / 2), rel=1e-14)
+        assert disc0.log_moment(2) == pytest.approx(math.log(math.pi / 3), rel=1e-14)
+        assert disc1.log_moment(0) == pytest.approx(math.log(math.pi / 2), rel=1e-14)
 
     def test_fock_examples(self):
         # c_n^2 = (2 pi / m) Gamma((2n+2)/m); for m = 2 that is pi * n!
-        assert fock_moment_closed(2.0, 0) == pytest.approx(LOG_PI, rel=1e-14)
-        assert fock_moment_closed(2.0, 1) == pytest.approx(LOG_PI, rel=1e-14)
-        assert fock_moment_closed(2.0, 3) == pytest.approx(math.log(6 * math.pi), rel=1e-14)
-        assert fock_moment_closed(4.0, 0) == pytest.approx(
+        fock2 = FockExponential(2.0)
+        assert fock2.log_moment(0) == pytest.approx(LOG_PI, rel=1e-14)
+        assert fock2.log_moment(1) == pytest.approx(LOG_PI, rel=1e-14)
+        assert fock2.log_moment(3) == pytest.approx(math.log(6 * math.pi), rel=1e-14)
+        assert FockExponential(4.0).log_moment(0) == pytest.approx(
             math.log(math.pi ** 1.5 / 2.0), rel=1e-14)
 
     def test_parameter_domains(self):
         with pytest.raises(ParameterDomainError):
-            disc_moment_closed(-0.5, 0)
+            DiscPolynomial(-0.5).log_moment(0)
         with pytest.raises(ParameterDomainError):
-            fock_moment_closed(0.0, 0)
+            FockExponential(0.0).log_moment(0)
         with pytest.raises(ParameterDomainError):
-            disc_moment_closed(0.0, -1)
+            DiscPolynomial(0.0).log_moment(-1)
         with pytest.raises(ParameterDomainError):
             DiscPolynomial(-1.0)
         with pytest.raises(ParameterDomainError):
@@ -52,14 +51,10 @@ class TestClosedForms:
         with pytest.raises(ParameterDomainError):
             CustomRadial(lambda r: r, support_radius=0.0)
 
-    def test_moment_log_dispatch(self):
-        assert moment_log(DiscPolynomial(0.5), 3) == disc_moment_closed(0.5, 3)
-        assert moment_log(FockExponential(3.0), 2) == fock_moment_closed(3.0, 2)
-
     def test_moment_log_is_pure(self):
         for w in (DiscPolynomial(1.5), FockExponential(2.5)):
             for n in (0, 7, 40):
-                assert moment_log(w, n) == moment_log(w, n)  # bit-identical
+                assert w.log_moment(n) == w.log_moment(n)  # bit-identical
 
 
 class TestQuadratureOracle:
@@ -80,7 +75,7 @@ class TestQuadratureOracle:
         for w in (DiscPolynomial(0.0), DiscPolynomial(0.5), DiscPolynomial(3.0),
                   FockExponential(2.0), FockExponential(3.0), FockExponential(4.0)):
             for n in (0, 3, 17, 50):
-                assert abs(moment_log(w, n) - moment_quadrature(w, n)) <= 1e-9
+                assert abs(w.log_moment(n) - moment_quadrature(w, n)) <= 1e-9
 
     def test_custom_scalar_callable_adapted(self):
         w = CustomRadial(lambda r: 1.0, support_radius=1.0)
@@ -120,12 +115,12 @@ class TestMomentSequence:
         ms = MomentSequence(DiscPolynomial(2.5))
         for n in range(60):
             assert ms.log_moment(n) == pytest.approx(
-                disc_moment_closed(2.5, n), abs=1e-12)
+                DiscPolynomial(2.5).log_moment(n), abs=1e-12)
 
     def test_fock_values_match_closed_form(self):
         ms = MomentSequence(FockExponential(3.0))
         for n in (0, 1, 13, 100):
-            assert ms.log_moment(n) == fock_moment_closed(3.0, n)
+            assert ms.log_moment(n) == FockExponential(3.0).log_moment(n)
 
     def test_ratios_consistent_with_logs(self):
         for w in (DiscPolynomial(1.0), FockExponential(2.0)):
@@ -162,4 +157,4 @@ class TestMomentSequence:
                                              support_radius=1.0))
         for n in range(10):
             assert custom.log_moment(n) == pytest.approx(
-                disc_moment_closed(0.0, n), abs=1e-9)
+                DiscPolynomial(0.0).log_moment(n), abs=1e-9)
