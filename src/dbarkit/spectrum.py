@@ -14,8 +14,9 @@ and compact exactly when lambda_n tends to zero.
 
 Eigenvalues are formed as r_{n-1} * expm1(ln r_n - ln r_{n-1}); the increment
 is produced by the cancellation-free log-gamma second difference for the
-exponential weights.  Naive subtraction of the two ratios would lose the
-lambda = 1 flatness of the m = 2 case already near n = 10^3.
+exponential weights, and the disc weights use their exact rational form.
+Naive subtraction of the two ratios would lose the lambda = 1 flatness of the
+m = 2 case already near n = 10^3.
 """
 
 import math

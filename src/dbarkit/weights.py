@@ -96,11 +96,11 @@ class DiscPolynomial:
         return math.log(n + 1.0) - math.log(self.alpha + n + 2.0)
 
     def eigenvalue(self, n) -> float:
+        """(alpha+1) / ((n+alpha+1)(n+alpha+2)), exactly r_n - r_{n-1}."""
         n = check_index(n, "n")
-        if n == 0:
-            return math.exp(self.log_ratio(0))
-        lr_prev = self.log_ratio(n - 1)
-        return math.exp(lr_prev) * math.expm1(self.log_ratio(n) - lr_prev)
+        a = self.alpha
+        # two divisions rather than one product, which overflows for a > 1e154
+        return (a + 1.0) / (n + a + 1.0) / (n + a + 2.0)
 
     def integrate_moment(self, n, rel_tol):
         power = 2 * n + 1

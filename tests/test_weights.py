@@ -51,6 +51,17 @@ class TestClosedForms:
         with pytest.raises(ParameterDomainError):
             CustomRadial(lambda r: r, support_radius=0.0)
 
+    def test_disc_eigenvalue_against_mpmath(self):
+        # lambda_n = r_n - r_{n-1} with r_n = (n+1)/(n+alpha+2), in 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for alpha in (0.0, 1.0, 2.5, 7.3, 1e200):
+                a = mpmath.mpf(alpha)
+                w = DiscPolynomial(alpha)
+                for n in (0, 1, 2, 7, 100, 999, 12345, 99999, 100000):
+                    want = (n + 1) / (n + a + 2) - (n / (n + a + 1) if n else 0)
+                    assert abs(w.eigenvalue(n) / want - 1) <= 1e-15
+
     def test_moment_log_is_pure(self):
         for w in (DiscPolynomial(1.5), FockExponential(2.5)):
             for n in (0, 7, 40):
