@@ -278,7 +278,7 @@ class CustomRadial:
     def peak_radius(self, n) -> float:
         """((2n+1)/2)^(1/2), the peak of r^(2n+1) exp(-r^2).
 
-        A density given by samples has no known peak, so the Gaussian one
+        A caller-supplied density has no known peak, so the Gaussian one
         stands in.  It only places the breakpoints that seed a quadrature's
         subdivision: a poor guess costs panels, not accuracy.
         """
