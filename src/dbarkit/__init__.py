@@ -17,6 +17,7 @@ from .errors import (
     ParameterDomainError,
     QuadratureError,
     SeriesTruncationError,
+    UnrepresentableError,
 )
 from .weights import (
     CustomRadial,
@@ -91,6 +92,7 @@ __all__ = [
     "QuadratureError",
     "SeriesTruncationError",
     "SpectralDiagnostics",
+    "UnrepresentableError",
     "Verdict",
     "apply_solution_operator",
     "ball_hs_partial_sum",

@@ -27,15 +27,13 @@ from .errors import (
     ConvergenceDomainError,
     DivergenceError,
     ParameterDomainError,
-    SeriesTruncationError,
     check_index,
     check_rel_tol,
 )
 from .quadrature import adaptive_quad
-from .special import LOG_PI, log_factorial
+from .special import LOG_PI, _log_series_terms, _series_value, log_factorial
 
 _LOG_PI2 = 2.0 * LOG_PI
-_TERM_BUDGET = 10 ** 6
 
 
 def _check_alpha(alpha: float) -> float:
@@ -161,55 +159,41 @@ def ball_hs_partial_sum(alpha: float, N: int) -> float:
 def ball_kernel_series(alpha: float, z, w, rel_tol: float = 1e-10) -> complex:
     """Kernel sum over multi-indices: sum z^nu wbar^nu / c_nu^2.
 
-    Summed diagonal by diagonal in sigma = n1 + n2 with a ratio-test tail
-    bound.  Requires both arguments strictly inside the unit ball of C^2.
+    Summed explicitly over the diagonals n1 + n2 = sigma, whose magnitude sums
+    are u^sigma / c_{sigma,0}^2 with u = |z1 wbar1| + |z2 wbar2|; the last
+    diagonal is where a ratio-test bound on their tail falls below 1e-18 of
+    the largest.  The sum is returned only when its rounding error
+    eps * sum|term| is at most ``rel_tol`` * |K|; otherwise, or when the
+    magnitudes leave the double range, :class:`UnrepresentableError` is
+    raised, and :class:`SeriesTruncationError` if the term budget runs out.
+    Requires both arguments strictly inside the unit ball of C^2.
     """
     alpha = _check_alpha(alpha)
     check_rel_tol(rel_tol)
     z1, z2 = complex(z[0]), complex(z[1])
     w1, w2 = complex(w[0]), complex(w[1])
-    if math.hypot(abs(z1), abs(z2)) >= 1.0 or math.hypot(abs(w1), abs(w2)) >= 1.0:
+    if not (math.hypot(abs(z1), abs(z2)) < 1.0 and math.hypot(abs(w1), abs(w2)) < 1.0):
         raise ConvergenceDomainError(
             "ball kernel series requires both points strictly inside the ball")
     q1 = z1 * w1.conjugate()
     q2 = z2 * w2.conjugate()
     u = abs(q1) + abs(q2)
+    logs = _log_series_terms(ball_moment_log(alpha, 0, 0),
+                             lambda s: ball_log_ratio(alpha, s, 0), u)
+    # 1/c_{n1,n2}^2 = binom(sigma, n1) / c_{sigma,0}^2, so diagonal sigma is
+    # exp(logs[sigma]) times sum_{n1} binom(sigma, n1) a1^n1 a2^n2, a = q / u
+    n = np.arange(len(logs))
+    log_fact = np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
 
-    # cumulative logs of P(sigma) = prod_{j=1}^{sigma+2} (alpha+j) and sigma!
-    log_p = math.log(alpha + 1.0) + math.log(alpha + 2.0)
-    log_fact = [0.0]
-    q1_pow = [1.0 + 0j]
-    q2_pow = [1.0 + 0j]
-    total = 0j
-    sigma = 0
-    terms = 0
-    while True:
-        diag = 0j
-        for n1 in range(sigma + 1):
-            n2 = sigma - n1
-            coeff = math.exp(log_p - log_fact[n1] - log_fact[n2] - _LOG_PI2)
-            diag += coeff * q1_pow[n1] * q2_pow[n2]
-        total += diag
-        terms += sigma + 1
-        # bound on diagonal sigma+1: exp(log_p') u^(sigma+1) / (sigma+1)! / pi^2
-        growth = u * (alpha + sigma + 3.0) / (sigma + 1.0)
-        log_next = (log_p + math.log(alpha + sigma + 3.0)
-                    - log_fact[sigma] - math.log(sigma + 1.0) - _LOG_PI2
-                    + (sigma + 1) * math.log(u) if u > 0.0 else -math.inf)
-        if u == 0.0:
-            return total
-        if growth < 1.0:
-            tail = math.exp(log_next) / (1.0 - growth)
-            if tail <= rel_tol * max(abs(total), 1e-300):
-                return total
-        if terms > _TERM_BUDGET:
-            raise SeriesTruncationError(
-                f"ball kernel series exceeded {_TERM_BUDGET} terms")
-        sigma += 1
-        log_p += math.log(alpha + sigma + 2.0)
-        log_fact.append(log_fact[-1] + math.log(sigma))
-        q1_pow.append(q1_pow[-1] * q1)
-        q2_pow.append(q2_pow[-1] * q2)
+    def exponents(q):
+        # ln(a^n / n!), where a^0 = 1 also for a zero q
+        log_a = np.log(q / u) if q else -np.inf
+        with np.errstate(invalid="ignore"):
+            return np.where(n > 0, n * log_a, 0.0) - log_fact
+
+    e1, e2 = exponents(q1), exponents(q2)
+    units = [np.exp(log_fact[s] + e1[:s + 1] + e2[s::-1]).sum() for s in n]
+    return _series_value(logs, units, rel_tol, "ball kernel")
 
 
 def ball_kernel_closed(alpha: float, z, w) -> complex:

@@ -1,7 +1,12 @@
 """Exception types shared by every module of the toolkit, and the argument
-guards that raise them."""
+and range guards that raise them."""
+
+import math
 
 import numpy as np
+
+# exp(x) overflows a double for x above ln(DBL_MAX) = 709.78...
+LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
 class DbarKitError(Exception):
@@ -54,6 +59,20 @@ class QuadratureError(DbarKitError, ArithmeticError):
 
 class SeriesTruncationError(DbarKitError, ArithmeticError):
     """A kernel series could not meet its tail bound within the term budget."""
+
+
+class UnrepresentableError(DbarKitError, ArithmeticError):
+    """A value kept in log form leaves the double range, or a kernel series
+    cancels so far that its rounding error exceeds the requested rel_tol."""
+
+
+def checked_exp(log_value: float, what: str) -> float:
+    """exp(log_value), or :class:`UnrepresentableError` naming ``what`` when
+    it overflows a double."""
+    if log_value > LOG_DBL_MAX:
+        raise UnrepresentableError(
+            f"{what} = exp({log_value!r}) overflows a double")
+    return math.exp(log_value)
 
 
 class ConvergenceDomainError(DbarKitError, ValueError):

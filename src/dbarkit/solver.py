@@ -16,6 +16,7 @@ and every formula acts coefficientwise, so desk-scale verification loses
 nothing; genuinely infinite expansions are out of scope.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -24,15 +25,13 @@ import numpy as np
 from .errors import (
     ConvergenceDomainError,
     ParameterDomainError,
-    SeriesTruncationError,
     check_index,
     check_rel_tol,
 )
 from .quadrature import adaptive_quad, unbounded_radial_quad
+from .special import _log_series_terms, _series_value
 from .spectrum import eigenvalue
 from .weights import MomentSequence
-
-_KERNEL_TERM_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -95,53 +94,42 @@ def apply_solution_operator(f: HolomorphicCoeffs,
     By construction dS(f)/dzbar = f exactly; orthogonality to the holomorphic
     subspace is checked by :func:`monomial_inner_product`.
     """
-    h = [-f.coefficient(k) * math.exp(moments.log_ratio(k - 1))
+    h = [-f.coefficient(k) * moments.ratio(k - 1)
          for k in range(1, f.degree + 1)]
     return HybridFunction(conj_factor=f, holo_part=HolomorphicCoeffs(h))
 
 
 def space_norm_sq(f: HolomorphicCoeffs, moments: MomentSequence) -> float:
     """||f||^2 = sum |a_k|^2 c_k^2 in the weighted space."""
-    return sum(abs(a) ** 2 * math.exp(moments.log_moment(k))
-               for k, a in enumerate(f))
+    return sum(abs(a) ** 2 * moments.moment(k) for k, a in enumerate(f))
 
 
 def kernel_eval(moments: MomentSequence, z: complex, w: complex,
                 rel_tol: float = 1e-10) -> complex:
     """Reproducing kernel K(z, w) = sum_k (z wbar)^k / c_k^2.
 
-    The series is truncated once a ratio-test bound on the remaining tail
-    falls below ``rel_tol`` times the partial sum's magnitude.  For weights
-    of finite support radius R both arguments must lie strictly inside the
-    disc of radius R.
+    Each term is formed as exp(ln|term_k| + i k arg(z wbar)) from the log
+    moments, so no term overflows on the way, and the series stops once a
+    ratio-test bound on its tail falls below 1e-18 of its largest term.
+    ``rel_tol`` bounds the rounding error: the sum is returned only when
+    eps * sum_k |term_k| <= rel_tol * |K|.  Where the terms cancel beyond
+    that, or their magnitude sum leaves the double range,
+    :class:`UnrepresentableError` is raised; :class:`SeriesTruncationError`
+    means the term budget ran out first.  For weights of finite support
+    radius R both arguments must lie strictly inside the disc of radius R.
     """
     check_rel_tol(rel_tol)
     z = complex(z)
     w = complex(w)
     radius = moments.weight.support_radius
-    if abs(z) >= radius or abs(w) >= radius:
+    if not (abs(z) < radius and abs(w) < radius):
         raise ConvergenceDomainError(
             f"kernel series needs |z| < {radius!r} and |w| < {radius!r}, "
             f"got |z|={abs(z)!r}, |w|={abs(w)!r}")
     q = z * w.conjugate()
-    absq = abs(q)
-    term = complex(math.exp(-moments.log_moment(0)))
-    total = term
-    k = 0
-    while True:
-        # growth factor |term_{k+1}| / |term_k|; decreasing by log-convexity
-        growth = absq * math.exp(-moments.log_ratio(k))
-        if growth < 1.0:
-            tail = abs(term) * growth / (1.0 - growth)
-            if tail <= rel_tol * max(abs(total), 1e-300):
-                return total
-        if k + 1 > _KERNEL_TERM_BUDGET:
-            raise SeriesTruncationError(
-                f"kernel series did not meet its tail bound within "
-                f"{_KERNEL_TERM_BUDGET} terms (|z wbar| = {absq!r})")
-        term = term * q * math.exp(-moments.log_ratio(k))
-        total += term
-        k += 1
+    logs = _log_series_terms(moments.log_moment(0), moments.log_ratio, abs(q))
+    units = np.exp(1j * cmath.phase(q) * np.arange(len(logs)))
+    return _series_value(logs, units, rel_tol, "kernel")
 
 
 def project_dilated(f: HolomorphicCoeffs, rho: float,
@@ -152,7 +140,7 @@ def project_dilated(f: HolomorphicCoeffs, rho: float,
     """
     if not (0.0 < rho < 1.0):
         raise ParameterDomainError(f"rho must lie in (0, 1), got {rho!r}")
-    out = [f.coefficient(k) * math.exp(moments.log_ratio(k - 1)) * rho ** k
+    out = [f.coefficient(k) * moments.ratio(k - 1) * rho ** k
            for k in range(1, f.degree + 1)]
     return HolomorphicCoeffs(out)
 
@@ -169,8 +157,8 @@ def defect_norm_sq(f: HolomorphicCoeffs, rho: float,
     for k, a in enumerate(f):
         if a == 0:
             continue
-        total += (abs(a) ** 2 * math.exp(moments.log_moment(k))
-                  * rho ** (2 * k) * eigenvalue(moments, k))
+        total += (abs(a) ** 2 * moments.moment(k) * rho ** (2 * k)
+                  * eigenvalue(moments, k))
     return total
 
 
@@ -203,8 +191,7 @@ def monomial_inner_product(F: HybridFunction, j: int,
     h = F.holo_part.coefficient(j)
     if g == 0 and h == 0:
         return 0j
-    return math.exp(moments.log_moment(j)) * (
-        g * math.exp(moments.log_ratio(j)) + h)
+    return moments.moment(j) * (g * moments.ratio(j) + h)
 
 
 def dbar_residual(F: HybridFunction, f: HolomorphicCoeffs, points,
@@ -304,7 +291,7 @@ def reproduce_check(moments: MomentSequence, f: HolomorphicCoeffs, z: complex,
             f"reproduce_check is restricted to degree <= 10, got {f.degree}")
     z = complex(z)
     weight = moments.weight
-    if abs(z) >= weight.support_radius:
+    if not abs(z) < weight.support_radius:
         raise ConvergenceDomainError(
             f"evaluation point must satisfy |z| < {weight.support_radius!r}, "
             f"got |z|={abs(z)!r}")
@@ -312,32 +299,10 @@ def reproduce_check(moments: MomentSequence, f: HolomorphicCoeffs, z: complex,
     phases = np.exp(2j * math.pi * np.arange(ntheta) / ntheta)
     absz = abs(z)
 
-    def kernel_coeff_count(qmax: float) -> int:
-        # log-domain tail test: the term magnitudes can overflow a double
-        # long before the density window closes.
-        if qmax <= 0.0:
-            return 0
-        k = 0
-        log_term = -moments.log_moment(0)
-        log_total = log_term
-        log_eps = math.log(1e-18)
-        while True:
-            growth = qmax * math.exp(-moments.log_ratio(k))
-            if growth < 1.0:
-                log_tail = log_term + math.log(growth / (1.0 - growth))
-                if log_tail <= log_eps + log_total:
-                    return k
-            if k > _KERNEL_TERM_BUDGET:
-                raise SeriesTruncationError(
-                    "kernel series for the reproducing integral did not "
-                    f"converge within {_KERNEL_TERM_BUDGET} terms")
-            log_term += math.log(qmax) - moments.log_ratio(k)
-            log_total = max(log_total, log_term)
-            k += 1
-
     def angular_mean(rs):
-        cut = kernel_coeff_count(absz * float(rs.max()))
-        coeffs = [math.exp(-moments.log_moment(k)) for k in range(cut + 1)]
+        logs = _log_series_terms(moments.log_moment(0), moments.log_ratio,
+                                 absz * float(rs.max()))
+        coeffs = [math.exp(-moments.log_moment(k)) for k in range(len(logs))]
         w = rs[:, None] * phases[None, :]
         v = np.zeros_like(w)
         u = z * np.conjugate(w)

@@ -12,11 +12,17 @@ Three levels of cancellation control are needed by the rest of the toolkit:
 The ratio and second-difference forms are what make eigenvalues of the
 diagonalized operator computable to ~1e-15 at index 10^4, where the naive
 route through ln Gamma keeps only ~5 correct digits.
+
+The kernel series of the solver and of the C^2 ball are summed from their log
+terms, which may leave the double range long before the series converges.
 """
 
 import math
 
-from .errors import ParameterDomainError
+import numpy as np
+
+from .errors import (LOG_DBL_MAX, ParameterDomainError, SeriesTruncationError,
+                     UnrepresentableError, checked_exp)
 
 LOG_PI = math.log(math.pi)
 LOG_2PI = math.log(2.0 * math.pi)
@@ -137,3 +143,61 @@ def log_gamma_second_difference(y: float, s: float) -> float:
             + s * math.log1p(2.0 * s / (y - s))
             + _stirling_tail(y + s) - 2.0 * _stirling_tail(y)
             + _stirling_tail(y - s))
+
+
+# -- kernel series in log form ------------------------------------------------
+
+_SERIES_TERM_BUDGET = 10 ** 6  # the one term budget of every kernel series
+_LOG_TAIL = math.log(1e-18)    # the tail bound, relative to the largest term
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
+
+def _log_series_terms(log_c0: float, log_ratio, x: float) -> list:
+    """ln(x^k / c_k) for k = 0 .. cutoff, the log terms of sum_k x^k / c_k
+    with x >= 0 and log-convex c_k, ln(c_{k+1} / c_k) = ``log_ratio(k)``.
+
+    Once the growth g = x c_k / c_{k+1} is below 1 it can only fall, so the
+    tail after term k is at most term_k g / (1 - g); the cutoff is the first k
+    where that is below 1e-18 of the largest term.  Raises
+    :class:`UnrepresentableError` when a term overflows a double and
+    :class:`SeriesTruncationError` when the term budget runs out first.
+    """
+    logs = [-log_c0]
+    log_x = math.log(x) if x > 0.0 else -math.inf
+    log_max = logs[0]
+    for k in range(_SERIES_TERM_BUDGET):
+        lr = log_ratio(k)
+        growth = x * math.exp(-lr)
+        if growth < 1.0 and (growth == 0.0 or logs[k] + math.log(
+                growth / (1.0 - growth)) <= _LOG_TAIL + log_max):
+            return logs
+        log_term = logs[k] + (log_x - lr)
+        if log_term > LOG_DBL_MAX:
+            raise UnrepresentableError(
+                f"kernel series term {k + 1} = exp({log_term!r}) overflows")
+        log_max = max(log_max, log_term)
+        logs.append(log_term)
+    raise SeriesTruncationError(
+        f"kernel series did not meet its tail bound within "
+        f"{_SERIES_TERM_BUDGET} terms (|x| = {x!r})")
+
+
+def _series_value(log_mags, units, rel_tol: float, what: str) -> complex:
+    """sum_k exp(log_mags[k]) units[k] with |units[k]| <= 1, if a double holds
+    it to ``rel_tol``; otherwise :class:`UnrepresentableError`.
+
+    A = sum_k exp(log_mags[k]) must stay in the normal double range, and the
+    rounding error eps * A within ``rel_tol`` times the sum.
+    """
+    shift = max(log_mags)
+    mags = np.exp(np.asarray(log_mags) - shift)
+    size = float(mags.sum())
+    checked_exp(shift + math.log(size), f"{what} magnitude sum")
+    if shift + math.log(size) < _LOG_TINY:
+        raise UnrepresentableError(f"{what} magnitude sum underflows")
+    total = complex(np.sum(mags * units))
+    if not size * np.finfo(float).eps <= rel_tol * abs(total):
+        raise UnrepresentableError(
+            f"{what} series cancels beyond rel_tol = {rel_tol!r}: "
+            f"|sum| = {abs(total) / size!r} of sum|term|")
+    return total * math.exp(shift)

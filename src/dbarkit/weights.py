@@ -39,7 +39,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterDomainError, check_index, check_rel_tol
+from .errors import (DivergenceError, ParameterDomainError, check_index,
+                     check_rel_tol, checked_exp)
 from .quadrature import adaptive_quad, unbounded_radial_quad
 from .special import (
     LOG_2PI,
@@ -72,7 +73,8 @@ class DiscPolynomial:
 
     @property
     def label(self) -> str:
-        return f"disc:alpha={self.alpha:g}"
+        # the shortest repr reads back as the same float
+        return f"disc:alpha={repr(self.alpha).removesuffix('.0')}"
 
     def log_moment(self, n) -> float:
         """ln c_n^2 = ln pi + ln n! - sum_{j=1}^{n+1} ln(alpha+j).
@@ -136,7 +138,7 @@ class FockExponential:
 
     @property
     def label(self) -> str:
-        return f"fock:m={self.m:g}"
+        return f"fock:m={repr(self.m).removesuffix('.0')}"
 
     def log_moment(self, n) -> float:
         """ln c_n^2 = ln(2 pi / m) + ln Gamma((2n+2)/m).
@@ -350,7 +352,8 @@ class MomentSequence:
         return self._logs[n]
 
     def moment(self, n: int) -> float:
-        return math.exp(self.log_moment(n))
+        """c_n^2, or :class:`UnrepresentableError` on overflow."""
+        return checked_exp(self.log_moment(n), "moment c_n^2")
 
     def log_ratio(self, n: int) -> float:
         """ln(c_{n+1}^2 / c_n^2): the weight's closed form where it has one."""
@@ -360,8 +363,8 @@ class MomentSequence:
         return self.log_moment(n + 1) - self.log_moment(n)
 
     def ratio(self, n: int) -> float:
-        """c_{n+1}^2 / c_n^2."""
-        return math.exp(self.log_ratio(n))
+        """c_{n+1}^2 / c_n^2, or :class:`UnrepresentableError` on overflow."""
+        return checked_exp(self.log_ratio(n), "moment ratio c_{n+1}^2 / c_n^2")
 
     def log_convexity_defect(self, n_max: int) -> float:
         """max over 1 <= n < n_max of ln c_n^2 - (ln c_{n-1}^2 + ln c_{n+1}^2)/2.

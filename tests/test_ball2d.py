@@ -15,7 +15,11 @@ from dbarkit.ball2d import (
     form_energy,
     form_energy_from_moments,
 )
-from dbarkit.errors import ConvergenceDomainError, ParameterDomainError
+from dbarkit.errors import (
+    ConvergenceDomainError,
+    ParameterDomainError,
+    UnrepresentableError,
+)
 
 PI2 = math.pi ** 2
 
@@ -136,6 +140,12 @@ class TestKernel:
     def test_domain(self):
         with pytest.raises(ConvergenceDomainError):
             ball_kernel_series(0.0, (0.8, 0.7), (0.1, 0.0))
+
+    def test_ill_conditioned_point_is_typed(self):
+        # q1 = -q2 = 0.49: the terms sum to (1/0.02)^4 = 6.25e6 times |K|,
+        # so their rounding error exceeds the default rel_tol 1e-10
+        with pytest.raises(UnrepresentableError):
+            ball_kernel_series(1.0, (0.7, 0.7), (0.7, -0.7))
 
 
 class TestQuadratureOracle:

@@ -22,9 +22,13 @@ class TestParseWeight:
                 parse_weight(text)
 
     def test_label_round_trip(self):
-        # labels print parameters with %g, so short decimals round-trip
+        # labels print the shortest repr of each parameter, so every float
+        # round-trips, not only short decimals
         for w in (DiscPolynomial(0.0), DiscPolynomial(2.5), DiscPolynomial(7.3),
-                  FockExponential(2.0), FockExponential(0.5), FockExponential(4.0)):
+                  FockExponential(2.0), FockExponential(0.5), FockExponential(4.0),
+                  DiscPolynomial(1.23456789), DiscPolynomial(1e-7),
+                  DiscPolynomial(1e200), FockExponential(1.23456789),
+                  FockExponential(1e-7), FockExponential(1e200)):
             assert parse_weight(w.label) == w
 
     def test_unknown_family_exit_code(self, capsys):

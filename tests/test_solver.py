@@ -1,12 +1,18 @@
 """The solution operator: coefficient algebra and its quadrature oracles."""
 
+import cmath
 import math
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from dbarkit.errors import ConvergenceDomainError, ParameterDomainError
+from dbarkit.errors import (
+    ConvergenceDomainError,
+    ParameterDomainError,
+    UnrepresentableError,
+)
 from dbarkit.solver import (
     HolomorphicCoeffs,
     HybridFunction,
@@ -139,11 +145,56 @@ class TestKernel:
         assert time.perf_counter() - t0 < 1.0
 
     def test_term_budget(self, disc0, monkeypatch):
-        import dbarkit.solver as solver_mod
+        import dbarkit.special as special_mod
         from dbarkit.errors import SeriesTruncationError
-        monkeypatch.setattr(solver_mod, "_KERNEL_TERM_BUDGET", 50)
+        monkeypatch.setattr(special_mod, "_SERIES_TERM_BUDGET", 50)
         with pytest.raises(SeriesTruncationError):
             kernel_eval(disc0, 0.999, 0.999, rel_tol=1e-10)
+
+    def test_out_of_range_is_typed_and_fast(self, fock2, fock4):
+        # K = e^729 / pi on exp(-|z|^2) and about e^1296 on exp(-|z|^4)
+        for ms, z in ((fock2, 27.0), (fock4, 6.0)):
+            t0 = time.perf_counter()
+            with pytest.raises(UnrepresentableError):
+                kernel_eval(ms, z, z)
+            assert time.perf_counter() - t0 < 1.0
+        # K(0, 0) = 1 / c_0^2 = e^-864 on exp(-|z|^0.01)
+        with pytest.raises(UnrepresentableError):
+            kernel_eval(MomentSequence(FockExponential(0.01)), 0.0, 0.0)
+
+    def test_cancellation_is_typed(self, fock2):
+        # e^q / pi at q = -30, -20 is e^-60, e^-40 of the terms' magnitude
+        # sum, far below the eps / rel_tol = 2.2e-6 the default rel_tol allows
+        for z in (-30.0, -20.0):
+            with pytest.raises(UnrepresentableError):
+                kernel_eval(fock2, z, 1.0)
+
+    def test_phase_sweep_against_closed_forms(self, disc0, disc1, fock2, fock4):
+        # wherever the condition number K(|q|) / |K(q)| stays below 1e3 the
+        # sum must match the closed form far below the default rel_tol
+        def closed(ms, q):
+            q = mp.mpc(q)
+            weight = ms.weight
+            if isinstance(weight, DiscPolynomial):
+                a = mp.mpf(weight.alpha)
+                return (a + 1) / mp.pi * (1 - q) ** (-(a + 2))
+            if weight.m == 2.0:
+                return mp.exp(q) / mp.pi
+            return 2 / mp.pi * (1 / mp.sqrt(mp.pi) + q * mp.exp(q * q) * mp.erfc(-q))
+
+        cases = ((disc0, (0.3, 0.6, 0.9)), (disc1, (0.3, 0.6, 0.9)),
+                 (fock2, (1.0, 10.0, 40.0, 100.0)), (fock4, (1.0, 5.0, 10.0, 20.0)))
+        with mp.workdps(30):
+            for ms, radii in cases:
+                for r in radii:
+                    for j in range(32):
+                        theta = math.pi * (j + 0.5) / 16 - math.pi
+                        want = closed(ms, r * cmath.exp(1j * theta))
+                        if abs(closed(ms, r)) >= 1e3 * abs(want):
+                            continue
+                        z = math.sqrt(r) * cmath.exp(1j * theta)
+                        got = kernel_eval(ms, z, math.sqrt(r))
+                        assert abs(got - want) <= 1e-11 * abs(want), (ms.weight, r, theta)
 
 
 class TestProjectDilated:
@@ -181,6 +232,14 @@ class TestDefectNorm:
     def test_linear_disc(self, disc0):
         got = defect_norm_sq(HolomorphicCoeffs([0.0, 1.0]), 1.0, disc0)
         assert got == pytest.approx(math.pi / 12.0, rel=1e-13)
+
+    def test_overflow_is_typed(self, fock2):
+        # c_k^2 = pi k! overflows a double from k = 171 on
+        f = HolomorphicCoeffs([1.0] * 300)
+        with pytest.raises(UnrepresentableError):
+            defect_norm_sq(f, 1.0, fock2)
+        with pytest.raises(UnrepresentableError):
+            space_norm_sq(f, fock2)
 
     def test_norm_consistency_basis_route(self, fock4):
         # independent accumulation through the basis coordinates b_k = a_k c_k

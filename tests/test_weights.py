@@ -5,7 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from dbarkit.errors import DivergenceError, ParameterDomainError
+from dbarkit.errors import (
+    DivergenceError,
+    ParameterDomainError,
+    UnrepresentableError,
+)
 from dbarkit.weights import (
     CustomRadial,
     DiscPolynomial,
@@ -139,6 +143,13 @@ class TestMomentSequence:
             for n in range(20):
                 assert ms.log_ratio(n) == pytest.approx(
                     ms.log_moment(n + 1) - ms.log_moment(n), abs=1e-12)
+
+    def test_overflow_is_typed(self):
+        # c_1^2 / c_0^2 = Gamma(4000) / Gamma(2000) and c_300^2 = pi 300!
+        with pytest.raises(UnrepresentableError):
+            MomentSequence(FockExponential(1e-3)).ratio(0)
+        with pytest.raises(UnrepresentableError):
+            MomentSequence(FockExponential(2.0)).moment(300)
 
     def test_disc_ratio_monotone_and_bounded(self):
         # c_{n+1}^2/c_n^2 = (n+1)/(alpha+n+2): strictly increasing, below 1
