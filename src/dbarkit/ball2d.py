@@ -159,14 +159,12 @@ def ball_hs_partial_sum(alpha: float, N: int) -> float:
 def ball_kernel_series(alpha: float, z, w, rel_tol: float = 1e-10) -> complex:
     """Kernel sum over multi-indices: sum z^nu wbar^nu / c_nu^2.
 
-    Summed explicitly over the diagonals n1 + n2 = sigma, whose magnitude sums
-    are u^sigma / c_{sigma,0}^2 with u = |z1 wbar1| + |z2 wbar2|; the last
-    diagonal is where a ratio-test bound on their tail falls below 1e-18 of
-    the largest.  The sum is returned only when its rounding error
-    eps * sum|term| is at most ``rel_tol`` * |K|; otherwise, or when the
-    magnitudes leave the double range, :class:`UnrepresentableError` is
-    raised, and :class:`SeriesTruncationError` if the term budget runs out.
-    Requires both arguments strictly inside the unit ball of C^2.
+    Summed explicitly over the diagonals n1 + n2 = sigma, of magnitude
+    u^sigma / c_{sigma,0}^2 with u = |z1 wbar1| + |z2 wbar2|, until their
+    tail is below 1e-18 of the largest.  ``rel_tol`` and the typed errors
+    are those of :func:`kernel_eval`; every multi-index counts against the
+    term budget, which runs out from about u = 0.95 on.  Requires both
+    points strictly inside the unit ball of C^2.
     """
     alpha = _check_alpha(alpha)
     check_rel_tol(rel_tol)
@@ -179,7 +177,8 @@ def ball_kernel_series(alpha: float, z, w, rel_tol: float = 1e-10) -> complex:
     q2 = z2 * w2.conjugate()
     u = abs(q1) + abs(q2)
     logs = _log_series_terms(ball_moment_log(alpha, 0, 0),
-                             lambda s: ball_log_ratio(alpha, s, 0), u)
+                             lambda s: ball_log_ratio(alpha, s, 0), u,
+                             diagonal=True)
     # 1/c_{n1,n2}^2 = binom(sigma, n1) / c_{sigma,0}^2, so diagonal sigma is
     # exp(logs[sigma]) times sum_{n1} binom(sigma, n1) a1^n1 a2^n2, a = q / u
     n = np.arange(len(logs))
@@ -192,7 +191,9 @@ def ball_kernel_series(alpha: float, z, w, rel_tol: float = 1e-10) -> complex:
             return np.where(n > 0, n * log_a, 0.0) - log_fact
 
     e1, e2 = exponents(q1), exponents(q2)
-    units = [np.exp(log_fact[s] + e1[:s + 1] + e2[s::-1]).sum() for s in n]
+    sigma, n1 = np.tril_indices(len(logs))
+    terms = np.exp(log_fact[sigma] + e1[n1] + e2[sigma - n1])
+    units = np.bincount(sigma, terms.real) + 1j * np.bincount(sigma, terms.imag)
     return _series_value(logs, units, rel_tol, "ball kernel")
 
 

@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 
-# exp(x) overflows a double for x above ln(DBL_MAX) = 709.78...
 LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 

@@ -108,15 +108,12 @@ def kernel_eval(moments: MomentSequence, z: complex, w: complex,
                 rel_tol: float = 1e-10) -> complex:
     """Reproducing kernel K(z, w) = sum_k (z wbar)^k / c_k^2.
 
-    Each term is formed as exp(ln|term_k| + i k arg(z wbar)) from the log
-    moments, so no term overflows on the way, and the series stops once a
-    ratio-test bound on its tail falls below 1e-18 of its largest term.
-    ``rel_tol`` bounds the rounding error: the sum is returned only when
-    eps * sum_k |term_k| <= rel_tol * |K|.  Where the terms cancel beyond
-    that, or their magnitude sum leaves the double range,
-    :class:`UnrepresentableError` is raised; :class:`SeriesTruncationError`
-    means the term budget ran out first.  For weights of finite support
-    radius R both arguments must lie strictly inside the disc of radius R.
+    Summed from log terms until its tail is below 1e-18 of the largest
+    term.  ``rel_tol`` bounds the rounding error, eps * sum|term_k| <=
+    rel_tol * |K|; past it, or out of the double range, the series raises
+    :class:`UnrepresentableError`, and past its term budget
+    :class:`SeriesTruncationError`.  For weights of finite support radius R
+    both arguments must lie strictly inside the disc of radius R.
     """
     check_rel_tol(rel_tol)
     z = complex(z)

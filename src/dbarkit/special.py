@@ -11,10 +11,8 @@ Three levels of cancellation control are needed by the rest of the toolkit:
 
 The ratio and second-difference forms are what make eigenvalues of the
 diagonalized operator computable to ~1e-15 at index 10^4, where the naive
-route through ln Gamma keeps only ~5 correct digits.
-
-The kernel series of the solver and of the C^2 ball are summed from their log
-terms, which may leave the double range long before the series converges.
+route through ln Gamma keeps only ~5 correct digits.  The kernel series of
+the solver and of the C^2 ball are summed here from their log terms.
 """
 
 import math
@@ -22,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import (LOG_DBL_MAX, ParameterDomainError, SeriesTruncationError,
-                     UnrepresentableError, checked_exp)
+                     UnrepresentableError)
 
 LOG_PI = math.log(math.pi)
 LOG_2PI = math.log(2.0 * math.pi)
@@ -152,20 +150,26 @@ _LOG_TAIL = math.log(1e-18)    # the tail bound, relative to the largest term
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
 
-def _log_series_terms(log_c0: float, log_ratio, x: float) -> list:
+def _log_series_terms(log_c0: float, log_ratio, x: float,
+                      diagonal: bool = False) -> list:
     """ln(x^k / c_k) for k = 0 .. cutoff, the log terms of sum_k x^k / c_k
     with x >= 0 and log-convex c_k, ln(c_{k+1} / c_k) = ``log_ratio(k)``.
 
     Once the growth g = x c_k / c_{k+1} is below 1 it can only fall, so the
     tail after term k is at most term_k g / (1 - g); the cutoff is the first k
-    where that is below 1e-18 of the largest term.  Raises
-    :class:`UnrepresentableError` when a term overflows a double and
-    :class:`SeriesTruncationError` when the term budget runs out first.
+    where that is below 1e-18 of the largest term.  Term k counts 1 against
+    the term budget, or k + 1 when it stands for a ``diagonal`` of k + 1
+    multi-indices.  Raises :class:`UnrepresentableError` when a term
+    overflows a double and :class:`SeriesTruncationError` when the budget
+    runs out first.
     """
+    # the most terms, or diagonals, whose multi-indices fit in the budget
+    most = ((math.isqrt(8 * _SERIES_TERM_BUDGET + 1) - 1) // 2 if diagonal
+            else _SERIES_TERM_BUDGET)
     logs = [-log_c0]
     log_x = math.log(x) if x > 0.0 else -math.inf
     log_max = logs[0]
-    for k in range(_SERIES_TERM_BUDGET):
+    for k in range(most - 1):
         lr = log_ratio(k)
         growth = x * math.exp(-lr)
         if growth < 1.0 and (growth == 0.0 or logs[k] + math.log(
@@ -183,18 +187,17 @@ def _log_series_terms(log_c0: float, log_ratio, x: float) -> list:
 
 
 def _series_value(log_mags, units, rel_tol: float, what: str) -> complex:
-    """sum_k exp(log_mags[k]) units[k] with |units[k]| <= 1, if a double holds
-    it to ``rel_tol``; otherwise :class:`UnrepresentableError`.
-
-    A = sum_k exp(log_mags[k]) must stay in the normal double range, and the
-    rounding error eps * A within ``rel_tol`` times the sum.
-    """
+    """sum_k exp(log_mags[k]) units[k] with |units[k]| <= 1, or
+    :class:`UnrepresentableError` when A = sum_k exp(log_mags[k]) leaves the
+    normal double range or the rounding error eps * A exceeds ``rel_tol``
+    times the sum."""
     shift = max(log_mags)
     mags = np.exp(np.asarray(log_mags) - shift)
     size = float(mags.sum())
-    checked_exp(shift + math.log(size), f"{what} magnitude sum")
-    if shift + math.log(size) < _LOG_TINY:
-        raise UnrepresentableError(f"{what} magnitude sum underflows")
+    if not (_LOG_TINY <= shift and shift + math.log(size) <= LOG_DBL_MAX):
+        raise UnrepresentableError(
+            f"{what} magnitude sum exp({shift + math.log(size)!r}) "
+            f"leaves the double range")
     total = complex(np.sum(mags * units))
     if not size * np.finfo(float).eps <= rel_tol * abs(total):
         raise UnrepresentableError(

@@ -1,6 +1,7 @@
 """The C^2 unit-ball example: moments, energies, divergence, kernel."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dbarkit.ball2d import (
 from dbarkit.errors import (
     ConvergenceDomainError,
     ParameterDomainError,
+    SeriesTruncationError,
     UnrepresentableError,
 )
 
@@ -142,10 +144,20 @@ class TestKernel:
             ball_kernel_series(0.0, (0.8, 0.7), (0.1, 0.0))
 
     def test_ill_conditioned_point_is_typed(self):
-        # q1 = -q2 = 0.49: the terms sum to (1/0.02)^4 = 6.25e6 times |K|,
+        # q1 = -q2 = 0.45: the terms sum to (1/0.1)^7 = 1e7 times |K|,
         # so their rounding error exceeds the default rel_tol 1e-10
+        x = math.sqrt(0.45)
         with pytest.raises(UnrepresentableError):
-            ball_kernel_series(1.0, (0.7, 0.7), (0.7, -0.7))
+            ball_kernel_series(4.0, (x, x), (x, -x))
+
+    def test_term_budget_is_typed_and_fast(self):
+        # |q1| + |q2| = 0.98 needs 4.0e6 multi-indices and 0.999 about
+        # 1.8e9, both past the 10^6 budget, which counts every multi-index
+        for z, w in (((0.7, 0.7), (0.7, -0.7)), ((0.9995, 0.0), (0.9995, 0.0))):
+            t0 = time.perf_counter()
+            with pytest.raises(SeriesTruncationError):
+                ball_kernel_series(1.0, z, w)
+            assert time.perf_counter() - t0 < 1.0
 
 
 class TestQuadratureOracle:
