@@ -28,10 +28,9 @@ from .errors import (
     check_index,
     check_rel_tol,
 )
-from .quadrature import adaptive_quad, unbounded_radial_quad
 from .special import _log_series_terms, _series_value
 from .spectrum import eigenvalue
-from .weights import MomentSequence
+from .weights import MomentSequence, _radial_quad
 
 
 @dataclass(frozen=True)
@@ -230,21 +229,18 @@ def _radial_integral(weight, fn, rel_tol: float, points):
     ``fn`` maps an ndarray of radii to the angular means of the integrand;
     radii whose density already underflowed to zero are skipped so the
     polynomial factors can never produce inf * 0.  ``points`` seed the
-    subdivision when the support is unbounded.
+    subdivision.
     """
     def radial(radii):
-        radii = np.asarray(radii, dtype=float)
-        dens = weight.density(radii)
-        out = np.zeros(radii.shape, dtype=complex)
+        dens = np.exp(weight.log_density(radii))
+        out = np.zeros(dens.shape, dtype=complex)
         mask = dens > 0.0
         if np.any(mask):
             vals = fn(radii[mask])
             out[mask] = 2.0 * math.pi * radii[mask] * dens[mask] * vals
         return out
 
-    if math.isinf(weight.support_radius):
-        return unbounded_radial_quad(radial, rel_tol=rel_tol, points=points)[0]
-    return adaptive_quad(radial, 0.0, weight.support_radius, rel_tol=rel_tol)[0]
+    return _radial_quad(weight, radial, rel_tol, points)
 
 
 def defect_norm_quadrature(f: HolomorphicCoeffs, rho: float,

@@ -18,10 +18,12 @@ overflows doubles near n = 170, while every quantity the toolkit consumes
 Every family implements one protocol, so the rest of the toolkit asks the
 weight instead of testing which family it is:
 
-* ``support_radius``, ``density(r)`` and ``label``;
+* ``support_radius`` and ``label``;
+* ``log_density(r)`` -- ln density(r) on an ndarray of radii in the
+  support, -inf where the density is 0; every radial quadrature is built on
+  it (the disc's is also -inf past r = 1);
 * ``log_moment(n)`` -- ln c_n^2, in closed form or by quadrature;
 * ``next_log_moment(logs, rel_tol)`` -- the next entry of a moment cache;
-* ``integrate_moment(n, rel_tol)`` -- the quadrature of c_n^2 (the oracle);
 * ``peak_radius(n)`` -- where r^(2n+1) density(r) peaks, a quadrature breakpoint;
 * ``log_ratio(n)`` and ``eigenvalue(n)`` -- ln(c_{n+1}^2 / c_n^2) and lambda_n
   of S*S in closed form, or ``None`` where the cached moments supply them.
@@ -41,7 +43,7 @@ import numpy as np
 
 from .errors import (DivergenceError, ParameterDomainError, check_index,
                      check_rel_tol, checked_exp)
-from .quadrature import adaptive_quad, unbounded_radial_quad
+from .quadrature import UNBOUNDED_CLAMP, adaptive_quad, unbounded_radial_quad
 from .special import (
     LOG_2PI,
     LOG_PI,
@@ -66,10 +68,12 @@ class DiscPolynomial:
                 f"DiscPolynomial requires alpha >= 0, got {self.alpha!r}")
         object.__setattr__(self, "alpha", a)
 
-    def density(self, r):
+    def log_density(self, r):
         r = np.asarray(r, dtype=float)
-        base = np.clip(1.0 - r * r, 0.0, None)
-        return np.where(r <= 1.0, base ** self.alpha, 0.0)
+        # computed inside the disc only: np.errstate would cost more than this
+        out = np.full(r.shape, -np.inf)
+        np.log1p(-r * r, out=out, where=r < 1.0)
+        return np.multiply(self.alpha, out, out=out, where=r < 1.0)
 
     @property
     def label(self) -> str:
@@ -104,15 +108,6 @@ class DiscPolynomial:
         # two divisions rather than one product, which overflows for a > 1e154
         return (a + 1.0) / (n + a + 1.0) / (n + a + 2.0)
 
-    def integrate_moment(self, n, rel_tol):
-        power = 2 * n + 1
-
-        def f(r):
-            return 2.0 * math.pi * r ** power * self.density(r)
-
-        value, _ = adaptive_quad(f, 0.0, 1.0, rel_tol=0.25 * rel_tol)
-        return value
-
     def peak_radius(self, n) -> float:
         """sqrt((2n+1) / (2n+1+2 alpha))."""
         return math.sqrt((2.0 * n + 1.0) / (2.0 * n + 1.0 + 2.0 * self.alpha))
@@ -132,9 +127,8 @@ class FockExponential:
                 f"FockExponential requires m > 0, got {self.m!r}")
         object.__setattr__(self, "m", m)
 
-    def density(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.exp(-(r ** self.m))
+    def log_density(self, r):
+        return -np.asarray(r, dtype=float) ** self.m
 
     @property
     def label(self) -> str:
@@ -170,22 +164,6 @@ class FockExponential:
         delta = log_gamma_second_difference(y, s)
         return math.exp(log_gamma_ratio(y - s, s)) * math.expm1(delta)
 
-    def integrate_moment(self, n, rel_tol):
-        power = 2 * n + 1
-        m = self.m
-
-        def f(r):
-            r = np.asarray(r, dtype=float)
-            with np.errstate(divide="ignore"):
-                expo = LOG_2PI + power * np.log(r) - r ** m
-            return np.exp(expo)
-
-        peak = self.peak_radius(n)
-        value, _ = unbounded_radial_quad(
-            f, rel_tol=0.25 * rel_tol,
-            points=[0.25 * peak, 0.5 * peak, peak, 2.0 * peak, 4.0 * peak])
-        return value
-
     def peak_radius(self, n) -> float:
         """((2n+1)/m)^(1/m)."""
         return ((2.0 * n + 1.0) / self.m) ** (1.0 / self.m)
@@ -195,9 +173,11 @@ class FockExponential:
 class CustomRadial:
     """A caller-supplied radial density with the given support radius.
 
-    ``density`` must accept a float ndarray of radii and return nonnegative
-    values of the same shape (a scalar-only callable is adapted on the fly).
-    Finiteness of the moments is only checked when they are computed.
+    ``density_fn`` must accept a float ndarray of radii and return
+    nonnegative values of the same shape (a scalar-only callable is adapted
+    on the fly); a negative or NaN value raises
+    :class:`ParameterDomainError`.  Finiteness of the moments is only
+    checked when they are computed.
     """
 
     density_fn: Callable = field(compare=False)
@@ -215,7 +195,8 @@ class CustomRadial:
                 f"{self.support_radius!r}")
         object.__setattr__(self, "support_radius", rr)
 
-    def density(self, r):
+    def log_density(self, r):
+        """ln of the caller's density on [0, support_radius]."""
         r = np.asarray(r, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             try:
@@ -225,7 +206,11 @@ class CustomRadial:
             except (TypeError, ValueError):
                 vals = np.asarray([self.density_fn(float(x)) for x in r.ravel()],
                                   dtype=float).reshape(r.shape)
-        return vals
+        if not (vals >= 0.0).all():
+            raise ParameterDomainError(
+                "custom radial density returned negative or NaN values")
+        with np.errstate(divide="ignore"):
+            return np.log(vals)
 
     @property
     def label(self) -> str:
@@ -237,45 +222,6 @@ class CustomRadial:
 
     def next_log_moment(self, logs, rel_tol) -> float:
         return moment_quadrature(self, len(logs), rel_tol)
-
-    def integrate_moment(self, n, rel_tol):
-        power = 2 * n + 1
-
-        def f(r):
-            r = np.asarray(r, dtype=float)
-            dens = self.density(r)
-            if np.any(dens < 0.0):
-                raise ParameterDomainError(
-                    "custom radial density returned negative values")
-            out = np.zeros_like(r)
-            mask = dens > 0.0
-            with np.errstate(over="ignore"):
-                out[mask] = 2.0 * math.pi * r[mask] ** power * dens[mask]
-            return out
-
-        try:
-            if math.isinf(self.support_radius):
-                value, _ = unbounded_radial_quad(f, rel_tol=0.25 * rel_tol,
-                                                 initial=32)
-                # the substitution clamps at r ~ 1e12, which turns a slowly
-                # divergent integral into a huge finite one; a convergent
-                # moment must have an integrand that has died out long before
-                probe = np.array([1e6, 1e8])
-                tail_scale = float(np.max(f(probe) * probe))
-                if not tail_scale <= rel_tol * abs(value):
-                    raise DivergenceError(
-                        f"moment of order {n} looks divergent: the integrand "
-                        "has not decayed by r = 1e8", order=n)
-            else:
-                value, _ = adaptive_quad(f, 0.0, self.support_radius,
-                                         rel_tol=0.25 * rel_tol, initial=16)
-        except DivergenceError as exc:
-            if exc.order is not None:
-                raise
-            raise DivergenceError(
-                f"moment of order {n} diverges for the custom density",
-                order=n) from exc
-        return value
 
     def peak_radius(self, n) -> float:
         """((2n+1)/2)^(1/2), the peak of r^(2n+1) exp(-r^2).
@@ -290,21 +236,77 @@ class CustomRadial:
 WeightSpec = Union[DiscPolynomial, FockExponential, CustomRadial]
 
 
+def _radial_quad(weight, f, rel_tol, points):
+    """Integral of ``f`` over the support, by r = t/(1-t) if it is unbounded;
+    ``points`` are breakpoints in r that seed the subdivision."""
+    if math.isinf(weight.support_radius):
+        return unbounded_radial_quad(f, rel_tol=rel_tol, points=points)[0]
+    return adaptive_quad(f, 0.0, weight.support_radius, rel_tol=rel_tol,
+                         points=points)[0]
+
+
+# radii of the tail probe, and the radius where r = t/(1-t) stops
+_PROBE_RADII = np.array([1e6, 1e8])
+_CLAMP_RADIUS = UNBOUNDED_CLAMP / (1.0 - UNBOUNDED_CLAMP)
+
+
 def moment_quadrature(weight: WeightSpec, n, rel_tol: float = 1e-10) -> float:
     """ln c_n^2 by adaptive quadrature of 2 pi * int r^(2n+1) density(r) dr.
 
-    Unbounded supports are folded onto [0, 1) by r = t/(1-t), so the tail is
-    charged to the ordinary error estimate.  Independent of the closed forms;
-    this is the oracle the closed forms are tested against.
+    The integrand is exp(ln 2 pi + (2n+1) ln r + log_density(r)), so
+    r^(2n+1) cannot overflow before the density underflows.  Unbounded
+    supports are folded onto [0, 1) by r = t/(1-t), which stops at r ~ 1e12.
+    There ln(r f(r)) is probed at r = 1e6 and 1e8: a moment whose r f(r) has
+    not begun to decay by 1e8 raises :class:`DivergenceError` before any
+    quadrature, and so does one whose power-law tail past the clamp exceeds
+    ``rel_tol`` of the value.  Independent of the closed forms; this is the
+    oracle the closed forms are tested against.
     """
     n = check_index(n, "moment order")
     check_rel_tol(rel_tol)
-    value = float(np.real(weight.integrate_moment(n, rel_tol)))
-    if not (math.isfinite(value) and value > 0.0):
-        raise DivergenceError(
-            f"moment of order {n} is not a finite positive number "
-            f"(got {value!r})", order=n)
-    return math.log(value)
+    power = 2 * n + 1
+
+    def log_f(r):  # r > 0
+        return LOG_2PI + power * np.log(r) + weight.log_density(r)
+
+    def integrate(tol):
+        peak = weight.peak_radius(n)
+        try:
+            with np.errstate(over="ignore"):  # an inf raises just below
+                value = float(_radial_quad(
+                    weight, lambda r: np.exp(log_f(r)), tol,
+                    [0.25 * peak, 0.5 * peak, peak, 2.0 * peak, 4.0 * peak]))
+        except DivergenceError as exc:
+            raise DivergenceError(f"moment of order {n} diverges: {exc}",
+                                  order=n) from exc
+        if not (math.isfinite(value) and value > 0.0):
+            raise DivergenceError(
+                f"moment of order {n} is not a finite positive number "
+                f"(got {value!r})", order=n)
+        if log_tail > math.log(rel_tol * value):
+            raise DivergenceError(
+                f"moment of order {n} looks divergent: its tail past r = "
+                f"{_CLAMP_RADIUS:.0e} exceeds rel_tol", order=n)
+        return value
+
+    log_tail = -math.inf
+    if math.isinf(weight.support_radius):
+        log6, log8 = log_f(_PROBE_RADII) + np.log(_PROBE_RADII)
+        if log8 > -math.inf and not log8 < log6:
+            raise DivergenceError(
+                f"moment of order {n} looks divergent: r^(2n+2) density(r) "
+                "has not begun to decay by r = 1e8", order=n)
+        if log8 > -math.inf:
+            # the power law r f(r) ~ exp(log8) (r/1e8)^(-q) through the
+            # probes, integrated past the clamp
+            q = (log6 - log8) / math.log(100.0)
+            log_tail = log8 + q * math.log(1e8 / _CLAMP_RADIUS) - math.log(q)
+            if log_tail > math.log(rel_tol) + log6:
+                # the tail may reach rel_tol of the value: judge it on a
+                # coarse value first, since near the clamp the fine
+                # quadrature can spin for seconds on the rounding of t/(1-t)
+                integrate(1e-3)
+    return math.log(integrate(0.25 * rel_tol))
 
 
 class MomentSequence:

@@ -1,14 +1,17 @@
 """Property tests: every kernel evaluation ends in a finite value or a
-typed error, within a time budget."""
+typed error, and every power-law moment in its value or a DivergenceError,
+within a time budget."""
 
 import math
 
+import mpmath as mp
 from hypothesis import given, settings, strategies as st
 
 from dbarkit.ball2d import ball_kernel_series
-from dbarkit.errors import DbarKitError
+from dbarkit.errors import DbarKitError, DivergenceError
 from dbarkit.solver import kernel_eval
-from dbarkit.weights import DiscPolynomial, FockExponential, MomentSequence
+from dbarkit.weights import (CustomRadial, DiscPolynomial, FockExponential,
+                             MomentSequence, moment_quadrature)
 
 
 def _points(max_magnitude):
@@ -46,3 +49,21 @@ def test_fock_kernel_finite_or_typed(m, z, w):
        w=st.tuples(_points(0.7), _points(0.7)))
 def test_ball_kernel_finite_or_typed(alpha, z, w):
     _finite_or_typed(ball_kernel_series, alpha, z, w)
+
+
+# 2 pi int r^(2n+1) (1+r)^-p dr = 2 pi B(2n+2, d) with d = p - 2n - 2: it
+# converges for d > 0, but only for d >= 1 is the tail past the clamp at
+# r ~ 1e12 surely below rel_tol, so 0 < d < 1 may also raise
+@settings(derandomize=True, deadline=1000, max_examples=100)
+@given(n=st.integers(0, 3), d=st.floats(-1.0, 6.0))
+def test_power_law_moment_value_or_divergence(n, d):
+    p = d + 2.0 * n + 2.0
+    w = CustomRadial(lambda r: (1.0 + r) ** -p)
+    try:
+        got = moment_quadrature(w, n)
+    except DivergenceError:
+        assert d < 1.0
+        return
+    assert d > 0.0
+    want = mp.log(2 * mp.pi * mp.beta(2 * n + 2, mp.mpf(p) - 2 * n - 2))
+    assert abs(got - float(want)) <= 1e-9

@@ -1,6 +1,7 @@
 """Weight specifications, closed-form moments and the quadrature oracle."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -66,6 +67,45 @@ class TestClosedForms:
                     want = (n + 1) / (n + a + 2) - (n / (n + a + 1) if n else 0)
                     assert abs(w.eigenvalue(n) / want - 1) <= 1e-15
 
+    # the next two pin the worst error measured against 40-digit mpmath
+    # references, rounded up by less than a factor of 2
+    def test_fock_eigenvalue_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(40):
+            for m in np.linspace(0.5, 7.0, 27):
+                w = FockExponential(float(m))
+                for n in (0, 1, 2, 3, 5, 10, 33, 100, 314, 999, 1000, 3162,
+                          12345, 31623, 54321, 99999, 100000):
+                    y, s = mpmath.mpf(2 * n + 2) / w.m, mpmath.mpf(2) / w.m
+                    want = mpmath.exp(mpmath.loggamma(y + s) - mpmath.loggamma(y))
+                    if n:
+                        want -= mpmath.exp(mpmath.loggamma(y)
+                                           - mpmath.loggamma(y - s))
+                    worst = max(worst, abs(w.eigenvalue(n) / float(want) - 1))
+        assert worst <= 8e-15  # measured 5.2e-15
+
+    def test_disc_log_moment_against_mpmath(self):
+        # ln c_n^2 = ln pi + ln Gamma(n+1) + ln Gamma(alpha+1) - ln Gamma(alpha+n+2);
+        # the O(n) log sum accumulates rounding, hence the loose figures
+        mpmath = pytest.importorskip("mpmath")
+
+        def want(alpha, n):
+            a = mpmath.mpf(alpha)
+            return float(mpmath.log(mpmath.pi) + mpmath.loggamma(n + 1)
+                         + mpmath.loggamma(a + 1) - mpmath.loggamma(a + n + 2))
+
+        worst = 0.0
+        with mpmath.workdps(40):
+            for alpha in (0.0, 0.5, 1.0, 2.5, 7.3, 10.0, 33.3, 100.0):
+                w = DiscPolynomial(alpha)
+                for n in (0, 1, 2, 7, 50, 100, 999, 2000, 3000):
+                    worst = max(worst, abs(w.log_moment(n) - want(alpha, n)))
+            assert worst <= 1e-10  # measured 7.1e-11
+            ref = want(0.5, 30000)
+            # measured 1.7e-10
+            assert abs(DiscPolynomial(0.5).log_moment(30000) - ref) <= 3e-10 * abs(ref)
+
     def test_moment_log_is_pure(self):
         for w in (DiscPolynomial(1.5), FockExponential(2.5)):
             for n in (0, 7, 40):
@@ -109,11 +149,47 @@ class TestQuadratureOracle:
         assert info.value.order == 2
 
     def test_divergent_custom_density_slow(self):
-        # r/(1+r) -> 1, so every moment diverges; the clamp guard must notice
+        # r/(1+r) -> 1, so every moment diverges; the probe in front of the
+        # quadrature must notice
         w = CustomRadial(lambda r: 1.0 / (1.0 + r), support_radius=math.inf)
+        t0 = time.perf_counter()
         with pytest.raises(DivergenceError) as info:
             moment_quadrature(w, 0)
         assert info.value.order == 0
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_high_order_custom_moments_in_log_scale(self):
+        # r^(2n+1) overflows long before these densities underflow
+        gauss = CustomRadial(lambda r: np.exp(-r * r))
+        assert moment_quadrature(gauss, 110) == pytest.approx(
+            LOG_PI + math.lgamma(111.0), abs=1e-9)
+        quartic = CustomRadial(lambda r: np.exp(-r ** 4))
+        assert moment_quadrature(quartic, 250) == pytest.approx(
+            math.log(math.pi / 2) + math.lgamma(125.5), abs=1e-9)
+
+    def test_power_law_tails_converge(self):
+        # 2 pi int r (1+r)^-3 dr = pi and 2 pi int r (1+r^2)^-1.5 dr = 2 pi:
+        # r f(r) is still far from negligible at r = 1e8
+        w = CustomRadial(lambda r: (1.0 + r) ** -3.0)
+        assert moment_quadrature(w, 0) == pytest.approx(LOG_PI, abs=1e-9)
+        w = CustomRadial(lambda r: (1.0 + r * r) ** -1.5)
+        assert moment_quadrature(w, 0) == pytest.approx(
+            math.log(2.0 * math.pi), abs=1e-9)
+
+    def test_fock_peak_past_clamp_is_typed(self):
+        # the integrand of m = 0.05 peaks near r = 1e26, past the clamp at
+        # 1e12; for m = 1e-3 the peak radius overflows a double
+        for m in (0.05, 1e-3):
+            with pytest.raises(DivergenceError) as info:
+                moment_quadrature(FockExponential(m), 0)
+            assert info.value.order == 0
+
+    def test_invalid_custom_density_values(self):
+        for bad in (np.nan, -1.0):
+            w = CustomRadial(lambda r, bad=bad: np.where(r < 0.5, bad, 1.0),
+                             support_radius=1.0)
+            with pytest.raises(ParameterDomainError):
+                moment_quadrature(w, 0)
 
 
 class TestMomentSequence:
