@@ -34,7 +34,6 @@ from .spectrum import (
     classify,
     diagnostics,
     eigenvalue,
-    gamma_ratio_difference,
     hs_partial_sum,
     stirling_surrogate,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "eigenvalue",
     "form_energy",
     "form_energy_from_moments",
-    "gamma_ratio_difference",
     "hs_partial_sum",
     "kernel_eval",
     "log_gamma",

@@ -29,9 +29,11 @@ from .errors import (
     ParameterDomainError,
     check_index,
     check_rel_tol,
+    float_or_array,
 )
 from .quadrature import adaptive_quad
-from .special import LOG_PI, _log_series_terms, _series_value, log_factorial
+from .special import (LOG_PI, _log_series_terms, _series_value, log_factorial,
+                      log_gamma_ratio)
 
 _LOG_PI2 = 2.0 * LOG_PI
 
@@ -53,12 +55,11 @@ def _check_cell(alpha: float, n1, n2, direction: int = 1):
 
 
 def ball_moment_log(alpha: float, n1, n2) -> float:
-    """ln c_{n1,n2}^2 = ln pi^2 + ln n1! + ln n2! - sum_{j=1}^{n1+n2+2} ln(alpha+j)."""
+    """ln c_{n1,n2}^2 = ln pi^2 + ln n1! + ln n2! - sum_{j=1}^{n1+n2+2} ln(alpha+j),
+    with the sum taken as one log-gamma ratio."""
     alpha, n1, n2 = _check_cell(alpha, n1, n2)
-    denom = 0.0
-    for j in range(1, n1 + n2 + 3):
-        denom += math.log(alpha + j)
-    return _LOG_PI2 + log_factorial(n1) + log_factorial(n2) - denom
+    return (_LOG_PI2 + log_factorial(n1) + log_factorial(n2)
+            - log_gamma_ratio(alpha + 1.0, n1 + n2 + 2.0))
 
 
 @dataclass(frozen=True)
@@ -78,10 +79,9 @@ class BallMomentGrid:
             # c_{0,n2+1}^2 / c_{0,n2}^2 = (n2+1)/(alpha+n2+3)
             grid[0, n2 + 1] = grid[0, n2] + math.log(n2 + 1.0) \
                 - math.log(alpha + n2 + 3.0)
-        for n1 in range(n_max):
-            for n2 in range(n_max + 1):
-                grid[n1 + 1, n2] = grid[n1, n2] + math.log(n1 + 1.0) \
-                    - math.log(alpha + n1 + n2 + 3.0)
+        n2 = np.arange(n_max + 1)
+        for n1 in range(n_max):  # one row at a time, down every column
+            grid[n1 + 1] = grid[n1] + math.log(n1 + 1.0) - np.log(alpha + n1 + n2 + 3.0)
         # the formula is symmetric; mirror the upper triangle so the stored
         # values are symmetric bit for bit
         iu = np.triu_indices(n_max + 1, k=1)
@@ -108,15 +108,15 @@ def form_energy(alpha: float, n1, n2, direction: int) -> float:
     return (alpha + n2 + 2.0) / ((sigma + 3.0) * (sigma + 2.0))
 
 
-def ball_log_ratio(alpha: float, n1, n2) -> float:
+def ball_log_ratio(alpha: float, n1, n2):
     """ln(c_{n1+1,n2}^2 / c_{n1,n2}^2) = ln(n1+1) - ln(alpha+n1+n2+3).
 
     The cancellation-free form of the log-moment difference (compare the
     1-D :meth:`MomentSequence.log_ratio`); the other index direction follows
-    by symmetry of the moments.
+    by symmetry of the moments.  ``n1`` and ``n2`` may be index arrays.
     """
     alpha, n1, n2 = _check_cell(alpha, n1, n2)
-    return math.log(n1 + 1.0) - math.log(alpha + n1 + n2 + 3.0)
+    return float_or_array(np.log(n1 + 1.0) - np.log(alpha + n1 + n2 + 3.0))
 
 
 def form_energy_from_moments(alpha: float, n1, n2, direction: int) -> float:
@@ -147,13 +147,11 @@ def ball_hs_partial_sum(alpha: float, N: int) -> float:
     """
     alpha = _check_alpha(alpha)
     N = check_index(N, "N")
-    total = 0.0
-    for n1 in range(1, N + 1):
-        for n2 in range(1, N + 1):
-            sigma = alpha + n1 + n2
-            denom = (sigma + 3.0) * (sigma + 2.0)
-            total += (alpha + n2 + 2.0) / denom + (alpha + n1 + 2.0) / denom
-    return total
+    n1, n2 = np.indices((N, N)).reshape(2, -1) + 1  # row-major
+    sigma = alpha + n1 + n2
+    denom = (sigma + 3.0) * (sigma + 2.0)
+    terms = (alpha + n2 + 2.0) / denom + (alpha + n1 + 2.0) / denom
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 def ball_kernel_series(alpha: float, z, w, rel_tol: float = 1e-10) -> complex:

@@ -145,34 +145,70 @@ def _json_cell(value):
     return value
 
 
-def rows_to_csv(rows, footer=None) -> str:
-    lines = []
-    if rows:
-        header = list(rows[0].keys())
-        lines.append(",".join(header))
-        for row in rows:
-            lines.append(",".join(_csv_cell(row.get(k)) for k in header))
+def _cells(column, json_cells: bool = False) -> list:
+    """The text cells of one column.  A numeric ndarray is formatted in one
+    pass, -0.0 folded into 0 and masked entries left empty (CSV) or null
+    (JSON); any other sequence goes cell by cell."""
+    if not (isinstance(column, np.ndarray) and column.dtype.kind in "iuf"):
+        return [json.dumps(_json_cell(v)) if json_cells else _csv_cell(v)
+                for v in column]
+    data = np.ma.getdata(column) + 0  # folds -0.0 into 0
+    fmt = (str if data.dtype.kind != "f" else float.__repr__ if json_cells
+           else "{:.17g}".format)
+    values = data.tolist()
+    cells = list(map(fmt, values))
+    for i in np.flatnonzero(~np.isfinite(data)) if json_cells else ():
+        cells[i] = json.dumps(str(values[i]))
+    for i in np.flatnonzero(np.ma.getmaskarray(column)):
+        cells[i] = "null" if json_cells else ""
+    return cells
+
+
+def _cell_rows(columns: dict, json_cells: bool = False):
+    """The rows of a table of named columns as tuples of text cells, made
+    4096 rows at a time so that the cells of one block only are held."""
+    for lo in range(0, len(next(iter(columns.values()), ())), 4096):
+        blocks = (_cells(c[lo:lo + 4096], json_cells) for c in columns.values())
+        yield from zip(*blocks)
+
+
+def _columns(rows) -> dict:
+    """Row dicts as columns, keyed by the first row's keys."""
+    return {k: [row.get(k) for row in rows] for k in rows[0]} if rows else {}
+
+
+def columns_to_csv(columns: dict, footer=None) -> str:
+    """CSV of a table given as named columns of equal length."""
+    lines = [",".join(columns)] if columns else []
+    lines.extend(map(",".join, _cell_rows(columns)))
     if footer:
         lines.append(",".join(_csv_cell(v) for v in footer))
     return "\n".join(lines) + "\n"
 
 
-def envelope_to_json(config: RunConfig, rows, verdict=None, passed=None) -> str:
-    body = {"command": config.command, "config": config.as_dict(),
-            "rows": [{k: _json_cell(v) for k, v in row.items()} for row in rows]}
+def rows_to_csv(rows, footer=None) -> str:
+    return columns_to_csv(_columns(rows), footer)
+
+
+def columns_to_json(config: RunConfig, columns: dict, verdict=None) -> str:
+    """The JSON envelope of a command: its config, the table given as named
+    columns of equal length, and the verdict if there is one."""
+    body = {"command": config.command, "config": config.as_dict(), "rows": []}
     if verdict is not None:
         body["verdict"] = verdict
-    if passed is not None:
-        body["pass"] = passed
-    return json.dumps(body, indent=2) + "\n"
+    text = json.dumps(body, indent=2) + "\n"
+    keys = (json.dumps(k).replace("%", "%%") for k in columns)
+    row = "    {\n" + ",\n".join(f"      {k}: %s" for k in keys) + "\n    }"
+    rows = ",\n".join(row % r for r in _cell_rows(columns, True))
+    return text.replace('"rows": []', f'"rows": [\n{rows}\n  ]', 1) if rows else text
 
 
-def _emit(config: RunConfig, rows, verdict=None, footer=None) -> int:
+def _emit(config: RunConfig, columns: dict, verdict=None, footer=None) -> int:
     """Write the table in the configured format and destination."""
     if config.fmt == "json":
-        text = envelope_to_json(config, rows, verdict=verdict)
+        text = columns_to_json(config, columns, verdict=verdict)
     else:
-        text = rows_to_csv(rows, footer=footer)
+        text = columns_to_csv(columns, footer=footer)
     if config.out is None:
         sys.stdout.write(text)
     else:
@@ -186,28 +222,24 @@ def _emit(config: RunConfig, rows, verdict=None, footer=None) -> int:
 def cmd_moments(config: RunConfig) -> int:
     weight = parse_weight(config.weight)
     ms = MomentSequence(weight, quad_rel_tol=config.tol)
-    rows = []
-    for n in range(config.n_max + 1):
-        log_c2 = ms.log_moment(n)
-        rows.append({"n": n, "log_c2": log_c2, "c2": render_from_log(log_c2),
-                     "ratio": ms.ratio(n)})
-    return _emit(config, rows)
+    n = np.arange(config.n_max + 1)
+    log_c2 = [ms.log_moment(k) for k in range(config.n_max + 1)]
+    return _emit(config, {"n": n, "log_c2": np.array(log_c2),
+                          "c2": [render_from_log(v) for v in log_c2],
+                          "ratio": ms.ratio(n)})
 
 
 def cmd_spectrum(config: RunConfig) -> int:
     weight = parse_weight(config.weight)
     ms = MomentSequence(weight, quad_rel_tol=config.tol)
     diag = diagnostics(ms, config.n_max)
-    is_fock = isinstance(weight, FockExponential)
-    rows = []
-    for n in range(config.n_max + 1):
-        row = {"n": n, "lambda": float(diag.lambdas[n]),
-               "partial_sum": float(diag.partial_sums[n]),
-               "ratio": float(diag.ratios[n])}
-        if is_fock:
-            row["stirling_surrogate"] = (
-                stirling_surrogate(weight.m, n) if n >= 1 else None)
-        rows.append(row)
+    n = np.arange(config.n_max + 1)
+    columns = {"n": n, "lambda": diag.lambdas,
+               "partial_sum": diag.partial_sums, "ratio": diag.ratios}
+    if isinstance(weight, FockExponential):
+        # the surrogate starts at n = 1: its n = 0 cell is empty
+        columns["stirling_surrogate"] = np.ma.masked_array(
+            stirling_surrogate(weight.m, np.maximum(n, 1)), mask=n == 0)
     verdict = None
     footer = None
     if diag.classification is not None:
@@ -228,7 +260,7 @@ def cmd_spectrum(config: RunConfig) -> int:
                   f"ratio_tail={c.evidence.ratio_tail:.17g}",
                   f"ratio_drift={c.evidence.ratio_drift:.17g}",
                   f"decay_exponent={c.evidence.decay_exponent:.17g}"]
-    return _emit(config, rows, verdict=verdict, footer=footer)
+    return _emit(config, columns, verdict=verdict, footer=footer)
 
 
 def read_coefficients(path: str) -> HolomorphicCoeffs:
@@ -281,7 +313,7 @@ def cmd_solve(config: RunConfig) -> int:
     rows.append({"section": "bound_constant", "index": None, "re": None,
                  "im": None,
                  "value": bound_constant(ms, max(f.degree, 1))})
-    return _emit(config, rows)
+    return _emit(config, _columns(rows))
 
 
 def cmd_reproduce(config: RunConfig) -> int:

@@ -16,12 +16,20 @@ class ParameterDomainError(DbarKitError, ValueError):
     """A parameter lies outside its mathematical domain (alpha < 0, m <= 0, ...)."""
 
 
-def check_index(n, name: str, lo: int = 0) -> int:
-    """``n`` as a Python int, or :class:`ParameterDomainError` unless it is
-    an integer >= ``lo``."""
-    if not isinstance(n, (int, np.integer)) or n < lo:
-        raise ParameterDomainError(f"{name} must be an integer >= {lo}, got {n!r}")
-    return int(n)
+def check_index(n, name: str, lo: int = 0):
+    """``n`` as a Python int, or as an integer ndarray when it is one, or
+    :class:`ParameterDomainError` unless every index is an integer >= ``lo``."""
+    if isinstance(n, (int, np.integer)) and n >= lo:
+        return int(n)
+    if isinstance(n, np.ndarray) and n.dtype.kind in "iu" and n.min(initial=lo) >= lo:
+        return n
+    raise ParameterDomainError(f"{name} must be an integer >= {lo}, got {n!r}")
+
+
+def float_or_array(a):
+    """``a`` as a Python float when it is 0-d, else as an ndarray."""
+    a = np.asarray(a)
+    return float(a) if a.ndim == 0 else a
 
 
 def check_rel_tol(rel_tol: float) -> None:

@@ -123,7 +123,8 @@ def kernel_eval(moments: MomentSequence, z: complex, w: complex,
             f"kernel series needs |z| < {radius!r} and |w| < {radius!r}, "
             f"got |z|={abs(z)!r}, |w|={abs(w)!r}")
     q = z * w.conjugate()
-    logs = _log_series_terms(moments.log_moment(0), moments.log_ratio, abs(q))
+    logs = _log_series_terms(moments.log_moment(0), moments.log_ratio, abs(q),
+                             closed_form=moments.weight.log_ratio)
     units = np.exp(1j * cmath.phase(q) * np.arange(len(logs)))
     return _series_value(logs, units, rel_tol, "kernel")
 
@@ -149,13 +150,12 @@ def defect_norm_sq(f: HolomorphicCoeffs, rho: float,
     """
     if not (0.0 < rho <= 1.0):
         raise ParameterDomainError(f"rho must lie in (0, 1], got {rho!r}")
+    lams = eigenvalue(moments, np.arange(f.degree + 1))
     total = 0.0
     for k, a in enumerate(f):
-        if a == 0:
-            continue
-        total += (abs(a) ** 2 * moments.moment(k) * rho ** (2 * k)
-                  * eigenvalue(moments, k))
-    return total
+        if a != 0:
+            total += abs(a) ** 2 * moments.moment(k) * rho ** (2 * k) * lams[k]
+    return float(total)
 
 
 def bound_constant(moments: MomentSequence, N: int) -> float:
@@ -164,8 +164,7 @@ def bound_constant(moments: MomentSequence, N: int) -> float:
     ``defect_norm_sq(f, rho) <= bound_constant(moments, N) * ||f||^2`` for
     every polynomial f of degree <= N and every rho in (0, 1].
     """
-    return max(eigenvalue(moments, k)
-               for k in range(check_index(N, "N", 1) + 1))
+    return float(np.max(eigenvalue(moments, np.arange(check_index(N, "N", 1) + 1))))
 
 
 def monomial_inner_product(F: HybridFunction, j: int,

@@ -11,8 +11,11 @@ Three levels of cancellation control are needed by the rest of the toolkit:
 
 The ratio and second-difference forms are what make eigenvalues of the
 diagonalized operator computable to ~1e-15 at index 10^4, where the naive
-route through ln Gamma keeps only ~5 correct digits.  The kernel series of
-the solver and of the C^2 ball are summed here from their log terms.
+route through ln Gamma keeps only ~5 correct digits.  Both take ndarrays
+(broadcast against each other) and answer elementwise; a scalar call is their
+0-d case and returns a float.  Small arguments are lifted above 20 by a
+masked loop of at most 20 steps.  The kernel series of the solver and of
+the C^2 ball are summed here from their log terms.
 """
 
 import math
@@ -20,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import (LOG_DBL_MAX, ParameterDomainError, SeriesTruncationError,
-                     UnrepresentableError)
+                     UnrepresentableError, check_index, float_or_array)
 
 LOG_PI = math.log(math.pi)
 LOG_2PI = math.log(2.0 * math.pi)
@@ -69,13 +72,9 @@ def log_gamma(x: float) -> float:
 
 
 def log_factorial(n: int) -> float:
-    """ln n! accumulated termwise in ascending order (no overflow, pure)."""
-    if n < 0:
-        raise ParameterDomainError(f"log_factorial requires n >= 0, got {n!r}")
-    total = 0.0
-    for k in range(2, n + 1):
-        total += math.log(k)
-    return total
+    """ln n! as ln Gamma(n+1), with ln 0! = ln 1! = 0 exactly."""
+    n = check_index(n, "log_factorial argument")
+    return log_gamma(n + 1.0) if n > 1 else 0.0
 
 
 # Stirling tail J(x) = sum_j B_{2j} / ((2j)(2j-1) x^(2j-1)), j = 1..5.
@@ -84,7 +83,8 @@ _X0 = 20.0
 _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
 
 
-def _stirling_tail(x: float) -> float:
+def _stirling_tail(x):
+    """J(x), elementwise on an ndarray."""
     u = 1.0 / x
     u2 = u * u
     s = _STIRLING[4]
@@ -93,54 +93,71 @@ def _stirling_tail(x: float) -> float:
     return s * u
 
 
-def log_gamma_ratio(x: float, s: float) -> float:
+def _arguments(name, domain, x, s):
+    """``x`` and ``s`` as float ndarrays of one shape, or
+    :class:`ParameterDomainError` naming the first pair outside ``domain``."""
+    x, s = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(s, dtype=float))
+    bad = np.flatnonzero(~domain(x, s))
+    if bad.size:
+        raise ParameterDomainError(
+            f"{name}, got {float(x.flat[bad[0]])!r} and {float(s.flat[bad[0]])!r}")
+    return x, s
+
+
+def _upward_shift(lo, step):
+    """(j, corr) for lifting arguments whose smallest, ``lo``, is below _X0:
+    j = ceil(_X0 - lo) there and 0 elsewhere (at most 20 for lo > 0), and
+    corr = sum_{i < j} step(i, k), accumulated in ascending i, where
+    ``step(i, k)`` gives the terms at the flat positions k still shifting."""
+    j = np.ceil(np.maximum(_X0 - lo, 0.0))
+    corr = np.zeros(lo.shape)
+    k = np.flatnonzero(j)
+    for i in range(int(j.max(initial=0.0))):
+        k = k[j.flat[k] > i]
+        corr.flat[k] += step(i, k)
+    return j, corr
+
+
+def log_gamma_ratio(x, s):
     """ln Gamma(x+s) - ln Gamma(x) without forming either log-gamma.
 
     Requires x > 0 and x + s > 0.  Absolute error stays at a few ulp of the
     *difference* (size ~ s*ln x), not of the individual terms (size ~ x*ln x).
     """
-    if not (x > 0.0 and x + s > 0.0):
-        raise ParameterDomainError(
-            f"log_gamma_ratio requires x > 0 and x + s > 0, got x={x!r}, s={s!r}")
-    if s == 0.0:
-        return 0.0
-    lo = min(x, x + s)
-    if lo < _X0:
-        # Shift both arguments up with ln Gamma(t) = ln Gamma(t+1) - ln t.
-        j = int(math.ceil(_X0 - lo))
-        corr = 0.0
-        for i in range(j):
-            corr += math.log1p(s / (x + i))
-        return log_gamma_ratio(x + j, s) - corr
-    return ((x - 0.5) * math.log1p(s / x) + s * math.log(x + s) - s
-            + _stirling_tail(x + s) - _stirling_tail(x))
+    x, s = _arguments("log_gamma_ratio requires x > 0 and x + s > 0",
+                      lambda x, s: (x > 0.0) & (x + s > 0.0), x, s)
+    # shift both arguments up with ln Gamma(t) = ln Gamma(t+1) - ln t
+    j, corr = _upward_shift(np.minimum(x, x + s),
+                            lambda i, k: np.log1p(s.flat[k] / (x.flat[k] + i)))
+    x = x + j
+    out = ((x - 0.5) * np.log1p(s / x) + s * np.log(x + s) - s
+           + _stirling_tail(x + s) - _stirling_tail(x)) - corr
+    return float_or_array(np.where(s == 0.0, 0.0, out))
 
 
-def log_gamma_second_difference(y: float, s: float) -> float:
+def log_gamma_second_difference(y, s):
     """ln Gamma(y+s) - 2 ln Gamma(y) + ln Gamma(y-s), stable for large y.
 
     This is the log of the ratio of consecutive moment ratios; it is of size
     ~ s^2 * psi'(y) and must be produced directly, because the three
-    log-gammas agree in all their leading digits.
+    log-gammas agree in all their leading digits.  Requires y - s > 0 and
+    s >= 0.
     """
-    if not (y - s > 0.0 and s >= 0.0):
-        raise ParameterDomainError(
-            f"log_gamma_second_difference requires y - s > 0, s >= 0, "
-            f"got y={y!r}, s={s!r}")
-    if s == 0.0:
-        return 0.0
-    if y - s < _X0:
-        j = int(math.ceil(_X0 - (y - s)))
-        corr = 0.0
-        for i in range(j):
-            t = y + i
-            corr -= math.log1p(-(s / t) * (s / t))
-        return log_gamma_second_difference(y + j, s) + corr
+    y, s = _arguments("log_gamma_second_difference requires y - s > 0, s >= 0",
+                      lambda y, s: (y - s > 0.0) & (s >= 0.0), y, s)
+    def step(i, k):
+        q = s.flat[k] / (y.flat[k] + i)
+        return -np.log1p(-q * q)
+
+    j, corr = _upward_shift(y - s, step)
+    y = y + j
     q = s / y
-    return ((y - 0.5) * math.log1p(-q * q)
-            + s * math.log1p(2.0 * s / (y - s))
-            + _stirling_tail(y + s) - 2.0 * _stirling_tail(y)
-            + _stirling_tail(y - s))
+    out = ((y - 0.5) * np.log1p(-q * q)
+           + s * np.log1p(2.0 * s / (y - s))
+           + _stirling_tail(y + s) - 2.0 * _stirling_tail(y)
+           + _stirling_tail(y - s)) + corr
+    return float_or_array(np.where(s == 0.0, 0.0, out))
 
 
 # -- kernel series in log form ------------------------------------------------
@@ -151,36 +168,57 @@ _LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 def _log_series_terms(log_c0: float, log_ratio, x: float,
-                      diagonal: bool = False) -> list:
+                      diagonal: bool = False, closed_form=None) -> np.ndarray:
     """ln(x^k / c_k) for k = 0 .. cutoff, the log terms of sum_k x^k / c_k
-    with x >= 0 and log-convex c_k, ln(c_{k+1} / c_k) = ``log_ratio(k)``.
+    with x >= 0 and log-convex c_k, ln(c_{k+1} / c_k) = ``log_ratio(k)`` on
+    an index array.
 
-    Once the growth g = x c_k / c_{k+1} is below 1 it can only fall, so the
+    The growth g = x c_k / c_{k+1} can only fall, so once it is below 1 the
     tail after term k is at most term_k g / (1 - g); the cutoff is the first k
-    where that is below 1e-18 of the largest term.  Term k counts 1 against
-    the term budget, or k + 1 when it stands for a ``diagonal`` of k + 1
-    multi-indices.  Raises :class:`UnrepresentableError` when a term
-    overflows a double and :class:`SeriesTruncationError` when the budget
-    runs out first.
+    where that is below 1e-18 of the largest term.  The log ratios are taken
+    in index blocks of doubling length, and each block's terms are their
+    running sum in ascending k.  Term k counts 1 against the term budget, or
+    k + 1 when it stands for a ``diagonal`` of k + 1 multi-indices.  Raises
+    :class:`UnrepresentableError` when a term overflows a double and
+    :class:`SeriesTruncationError` when the budget runs out first.  Given
+    ``closed_form``, the same log ratio for one index, the latter is raised
+    after the first block when g >= 1 at the last index the budget allows,
+    since no cutoff can fall within it (an overflow later in the budget is
+    then not reached).
     """
     # the most terms, or diagonals, whose multi-indices fit in the budget
     most = ((math.isqrt(8 * _SERIES_TERM_BUDGET + 1) - 1) // 2 if diagonal
             else _SERIES_TERM_BUDGET)
-    logs = [-log_c0]
     log_x = math.log(x) if x > 0.0 else -math.inf
-    log_max = logs[0]
-    for k in range(most - 1):
-        lr = log_ratio(k)
-        growth = x * math.exp(-lr)
-        if growth < 1.0 and (growth == 0.0 or logs[k] + math.log(
-                growth / (1.0 - growth)) <= _LOG_TAIL + log_max):
-            return logs
-        log_term = logs[k] + (log_x - lr)
-        if log_term > LOG_DBL_MAX:
+    logs = [np.array([-log_c0])]
+    log_max = -log_c0
+    done, block = 1, 64
+    while done < most:
+        k = np.arange(done - 1, min(done - 1 + block, most - 1))
+        step = log_x - log_ratio(k)                         # ln g_k
+        run = np.cumsum(np.concatenate((logs[-1][-1:], step)))  # from term k[0]
+        cut = len(k)  # the cutoff's place in the block, if it falls there
+        if step.min() < 0.0:  # some g_k < 1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                growth = np.exp(step)
+                tail = run[:-1] + np.log(growth / (1.0 - growth))
+            peak = np.maximum(log_max, np.maximum.accumulate(run[:-1]))
+            hits = np.flatnonzero((growth < 1.0) & (tail <= _LOG_TAIL + peak))
+            cut = hits[0] if hits.size else cut
+        new = run[1:cut + 1]
+        if new.max(initial=-math.inf) > LOG_DBL_MAX:
+            i = np.flatnonzero(new > LOG_DBL_MAX)[0]
             raise UnrepresentableError(
-                f"kernel series term {k + 1} = exp({log_term!r}) overflows")
-        log_max = max(log_max, log_term)
-        logs.append(log_term)
+                f"kernel series term {k[i] + 1} = exp({float(new[i])!r}) overflows")
+        logs.append(new)
+        if cut < len(k):
+            return np.concatenate(logs)
+        if done == 1 and closed_form is not None and \
+                log_x >= closed_form(most - 2):
+            break
+        log_max = max(log_max, new.max())
+        done += len(k)
+        block *= 2
     raise SeriesTruncationError(
         f"kernel series did not meet its tail bound within "
         f"{_SERIES_TERM_BUDGET} terms (|x| = {x!r})")
@@ -191,7 +229,7 @@ def _series_value(log_mags, units, rel_tol: float, what: str) -> complex:
     :class:`UnrepresentableError` when A = sum_k exp(log_mags[k]) leaves the
     normal double range or the rounding error eps * A exceeds ``rel_tol``
     times the sum."""
-    shift = max(log_mags)
+    shift = float(np.max(log_mags))
     mags = np.exp(np.asarray(log_mags) - shift)
     size = float(mags.sum())
     if not (_LOG_TINY <= shift and shift + math.log(size) <= LOG_DBL_MAX):

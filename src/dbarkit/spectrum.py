@@ -17,6 +17,11 @@ is produced by the cancellation-free log-gamma second difference for the
 exponential weights, and the disc weights use their exact rational form.
 Naive subtraction of the two ratios would lose the lambda = 1 flatness of the
 m = 2 case already near n = 10^3.
+
+``eigenvalue`` and ``stirling_surrogate`` take an index or an integer ndarray
+of indices; ``diagnostics``, ``classify`` and ``hs_partial_sum`` make one
+array pass over their indices, and partial sums are ``np.cumsum``, which
+adds in ascending n.
 """
 
 import math
@@ -25,8 +30,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterDomainError, check_index
-from .weights import FockExponential, MomentSequence
+from .errors import ParameterDomainError, check_index, float_or_array
+from .weights import MomentSequence
 
 #: Fitted decay exponents above this value count as "lambda_n -> 0".
 P_DECAY = 0.05
@@ -76,40 +81,30 @@ class SpectralDiagnostics:
     classification: Classification | None
 
 
-def gamma_ratio_difference(m: float, k: int) -> float:
-    """Gamma((2k+4)/m)/Gamma((2k+2)/m) - Gamma((2k+2)/m)/Gamma((2k)/m).
-
-    This is lambda_k for the weight exp(-|z|^m); it is exposed separately for
-    asymptotics studies.  As k grows it tends to infinity for 0 < m < 2,
-    equals 1 identically for m = 2, and tends to zero for m > 2.
-    """
-    return FockExponential(m).eigenvalue(check_index(k, "k", 1))
-
-
-def stirling_surrogate(m: float, k: int) -> float:
+def stirling_surrogate(m: float, k):
     """((2k+2)/m)^(2/m) - ((2k)/m)^(2/m), the large-k stand-in for lambda_k.
 
-    Shares the limit behavior of :func:`gamma_ratio_difference` (Stirling),
-    and is exact for m = 2.
+    Shares the limit behavior of the exp(-|z|^m) eigenvalues (Stirling), and
+    is exact for m = 2.
     """
     k = check_index(k, "k", 1)
     if not (math.isfinite(m) and m > 0.0):
         raise ParameterDomainError(f"m must be positive, got {m!r}")
     e = 2.0 / m
-    return ((2.0 * k + 2.0) / m) ** e - ((2.0 * k) / m) ** e
+    return float_or_array(np.power((2.0 * k + 2.0) / m, e)
+                          - np.power((2.0 * k) / m, e))
 
 
-def eigenvalue(moments: MomentSequence, n: int) -> float:
+def eigenvalue(moments: MomentSequence, n):
     """lambda_n of S*S: the weight's closed form where it has one, else
     r_{n-1} * expm1(ln r_n - ln r_{n-1}) from the cached moments."""
     n = check_index(n, "n")
     if moments.weight.eigenvalue is not None:
         return moments.weight.eigenvalue(n)
-    if n == 0:
-        return moments.ratio(0)
-    lr_prev = moments.log_ratio(n - 1)
-    lr = moments.log_ratio(n)
-    return math.exp(lr_prev) * math.expm1(lr - lr_prev)
+    prev = np.maximum(n - 1, 0)
+    lr_prev = moments.log_ratio(prev)
+    step = moments.ratio(prev) * np.expm1(moments.log_ratio(n) - lr_prev)
+    return float_or_array(np.where(n == 0, moments.ratio(0), step))
 
 
 def hs_partial_sum(moments: MomentSequence, N: int) -> float:
@@ -117,10 +112,8 @@ def hs_partial_sum(moments: MomentSequence, N: int) -> float:
 
     Telescopes to the moment ratio r_N = c_{N+1}^2 / c_N^2.
     """
-    total = 0.0
-    for n in range(check_index(N, "N") + 1):
-        total += eigenvalue(moments, n)
-    return total
+    lams = eigenvalue(moments, np.arange(check_index(N, "N") + 1))
+    return float(np.cumsum(lams)[-1])
 
 
 def _decay_exponent(lam_first: float, lam_last: float, n_first: int,
@@ -163,8 +156,8 @@ def classify(moments: MomentSequence, tail_start: int = 1000,
         raise ParameterDomainError("eps_zero and big must be positive")
 
     samples = np.unique(np.linspace(a, b, min(65, b - a + 1)).astype(int))
-    lams = np.array([eigenvalue(moments, int(n)) for n in samples])
-    ratios = np.array([moments.ratio(int(n)) for n in samples])
+    lams = eigenvalue(moments, samples)
+    ratios = moments.ratio(samples)
 
     lam_max = float(lams.max())
     lam_min = float(lams.min())
@@ -194,15 +187,10 @@ def diagnostics(moments: MomentSequence, n_max: int,
     leaves fewer than 10 indices the classification is omitted.
     """
     n_max = check_index(n_max, "n_max")
-    lams = np.empty(n_max + 1)
-    ratios = np.empty(n_max + 1)
-    sums = np.empty(n_max + 1)
-    total = 0.0
-    for n in range(n_max + 1):
-        lams[n] = eigenvalue(moments, n)
-        ratios[n] = moments.ratio(n)
-        total += lams[n]
-        sums[n] = total
+    n = np.arange(n_max + 1)
+    lams = eigenvalue(moments, n)
+    ratios = moments.ratio(n)
+    sums = np.cumsum(lams)  # sequential, in ascending n
 
     tail_start = max(1, n_max // 2)
     tail_len = n_max - tail_start

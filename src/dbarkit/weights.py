@@ -26,7 +26,8 @@ weight instead of testing which family it is:
 * ``next_log_moment(logs, rel_tol)`` -- the next entry of a moment cache;
 * ``peak_radius(n)`` -- where r^(2n+1) density(r) peaks, a quadrature breakpoint;
 * ``log_ratio(n)`` and ``eigenvalue(n)`` -- ln(c_{n+1}^2 / c_n^2) and lambda_n
-  of S*S in closed form, or ``None`` where the cached moments supply them.
+  of S*S in closed form, or ``None`` where the cached moments supply them;
+  ``n`` is an index or an integer ndarray of indices.
 
 The quadrature is deliberately kept independent of the closed forms and acts
 as the verification oracle.  For custom weights it is the only route.
@@ -42,7 +43,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import (DivergenceError, ParameterDomainError, check_index,
-                     check_rel_tol, checked_exp)
+                     check_rel_tol, checked_exp, float_or_array)
 from .quadrature import UNBOUNDED_CLAMP, adaptive_quad, unbounded_radial_quad
 from .special import (
     LOG_2PI,
@@ -83,25 +84,23 @@ class DiscPolynomial:
     def log_moment(self, n) -> float:
         """ln c_n^2 = ln pi + ln n! - sum_{j=1}^{n+1} ln(alpha+j).
 
-        Accumulated termwise in log domain, so no factorial is ever formed.
+        The sum is ln Gamma(alpha+n+2) - ln Gamma(alpha+1), taken as one
+        log-gamma ratio, so it stays accurate for huge alpha.
         """
         n = check_index(n, "moment order")
-        denom = 0.0
-        for j in range(1, n + 2):
-            denom += math.log(self.alpha + j)
-        return LOG_PI + log_factorial(n) - denom
+        return LOG_PI + log_factorial(n) - log_gamma_ratio(self.alpha + 1.0, n + 1.0)
 
     def next_log_moment(self, logs, rel_tol) -> float:
         if not logs:
             return LOG_PI - math.log(self.alpha + 1.0)
         return logs[-1] + self.log_ratio(len(logs) - 1)
 
-    def log_ratio(self, n) -> float:
+    def log_ratio(self, n):
         """ln((n+1) / (alpha+n+2))."""
         n = check_index(n, "moment order")
-        return math.log(n + 1.0) - math.log(self.alpha + n + 2.0)
+        return float_or_array(np.log(n + 1.0) - np.log(self.alpha + n + 2.0))
 
-    def eigenvalue(self, n) -> float:
+    def eigenvalue(self, n):
         """(alpha+1) / ((n+alpha+1)(n+alpha+2)), exactly r_n - r_{n-1}."""
         n = check_index(n, "n")
         a = self.alpha
@@ -147,22 +146,25 @@ class FockExponential:
     def next_log_moment(self, logs, rel_tol) -> float:
         return self.log_moment(len(logs))
 
-    def log_ratio(self, n) -> float:
+    def log_ratio(self, n):
         """ln Gamma((2n+4)/m) - ln Gamma((2n+2)/m), without either log-gamma."""
         n = check_index(n, "moment order")
         return log_gamma_ratio((2.0 * n + 2.0) / self.m, 2.0 / self.m)
 
-    def eigenvalue(self, n) -> float:
-        """r_{n-1} * expm1(second log-gamma difference), cancellation-free."""
+    def eigenvalue(self, n):
+        """r_{n-1} * expm1(second log-gamma difference), cancellation-free;
+        lambda_0 = r_0."""
         n = check_index(n, "n")
-        if n == 0:
-            return math.exp(self.log_ratio(0))
-        # r_{n-1} is recomputed from y - s rather than taken from
-        # log_ratio(n - 1): (2n+2)/m - 2/m and 2n/m can differ in the last bit
         y = (2.0 * n + 2.0) / self.m
         s = 2.0 / self.m
-        delta = log_gamma_second_difference(y, s)
-        return math.exp(log_gamma_ratio(y - s, s)) * math.expm1(delta)
+        first = n == 0
+        # r_{n-1} is recomputed from y - s rather than taken from
+        # log_ratio(n - 1): (2n+2)/m - 2/m and 2n/m can differ in the last
+        # bit.  At n = 0 the same call gives r_0, and the second difference
+        # is taken at y + s only to stay in its domain
+        r = np.exp(log_gamma_ratio(np.where(first, y, y - s), s))
+        delta = log_gamma_second_difference(np.where(first, y + s, y), s)
+        return float_or_array(np.where(first, r, r * np.expm1(delta)))
 
     def peak_radius(self, n) -> float:
         """((2n+1)/m)^(1/m)."""
@@ -318,7 +320,10 @@ class MomentSequence:
 
     ``log_ratio(n)`` returns ln(c_{n+1}^2 / c_n^2) through a path that keeps
     its *absolute* error at a few ulp even when the log moments themselves
-    are huge; eigenvalue computations depend on this.
+    are huge; eigenvalue computations depend on this.  It and ``ratio(n)``
+    serve an index or an index array from a cache of their own, which grows
+    geometrically by one array call of the weight's closed form; a custom
+    weight fills it with the differences of the cached log moments.
     """
 
     def __init__(self, weight: WeightSpec, quad_rel_tol: float = 1e-10):
@@ -327,6 +332,7 @@ class MomentSequence:
         self.weight = weight
         self._quad_rel_tol = quad_rel_tol
         self._logs: list[float] = []
+        self._log_ratios = self._ratios = np.empty(0)
 
     # -- cache ------------------------------------------------------------
 
@@ -336,6 +342,24 @@ class MomentSequence:
         while len(self._logs) <= n:
             self._logs.append(
                 self.weight.next_log_moment(self._logs, self._quad_rel_tol))
+
+    def _ratio_cache(self, n, cache: str):
+        """The ``cache`` entries at the index or index array ``n``."""
+        n = check_index(n, "moment order")
+        top = n if isinstance(n, int) else int(n.max(initial=-1))
+        have = len(self._log_ratios)
+        if top >= have:
+            if self.weight.log_ratio is None:
+                self.ensure(top + 1)
+                new = np.diff(self._logs[have:])
+            else:
+                new = self.weight.log_ratio(np.arange(have, max(top + 1, 2 * have, 64)))
+            with np.errstate(over="ignore"):  # inf past the range: ratio() raises
+                self._ratios = np.concatenate((self._ratios[:have], np.exp(new)))
+            # set last: a reader that sees the longer log ratios sees both
+            self._log_ratios = np.concatenate((self._log_ratios[:have], new))
+        out = getattr(self, cache)[n]
+        return float(out) if isinstance(n, int) else out
 
     @property
     def computed_upto(self) -> int:
@@ -357,16 +381,17 @@ class MomentSequence:
         """c_n^2, or :class:`UnrepresentableError` on overflow."""
         return checked_exp(self.log_moment(n), "moment c_n^2")
 
-    def log_ratio(self, n: int) -> float:
-        """ln(c_{n+1}^2 / c_n^2): the weight's closed form where it has one."""
-        if self.weight.log_ratio is not None:
-            return self.weight.log_ratio(n)
-        n = check_index(n, "moment order")
-        return self.log_moment(n + 1) - self.log_moment(n)
+    def log_ratio(self, n):
+        """ln(c_{n+1}^2 / c_n^2) at an index or an index array."""
+        return self._ratio_cache(n, "_log_ratios")
 
-    def ratio(self, n: int) -> float:
+    def ratio(self, n):
         """c_{n+1}^2 / c_n^2, or :class:`UnrepresentableError` on overflow."""
-        return checked_exp(self.log_ratio(n), "moment ratio c_{n+1}^2 / c_n^2")
+        out = self._ratio_cache(n, "_ratios")
+        if np.isinf(out).any() if isinstance(out, np.ndarray) else out == math.inf:
+            checked_exp(float(np.max(self.log_ratio(n))),
+                        "moment ratio c_{n+1}^2 / c_n^2")
+        return out
 
     def log_convexity_defect(self, n_max: int) -> float:
         """max over 1 <= n < n_max of ln c_n^2 - (ln c_{n-1}^2 + ln c_{n+1}^2)/2.
@@ -374,11 +399,8 @@ class MomentSequence:
         Nonpositive (up to rounding) for every genuine weight, by
         Cauchy-Schwarz on the defining integrals.
         """
-        n_max = check_index(n_max, "moment order")
-        worst = -math.inf
-        for n in range(1, n_max):
-            worst = max(worst, 0.5 * (self.log_ratio(n - 1) - self.log_ratio(n)))
-        return worst
+        lr = self.log_ratio(np.arange(check_index(n_max, "moment order")))
+        return float(np.max(0.5 * (lr[:-1] - lr[1:]), initial=-math.inf))
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"MomentSequence({self.weight!r}, "

@@ -5,9 +5,23 @@ import math
 
 import pytest
 
-from dbarkit.cli import main, parse_weight, render_from_log
+import numpy as np
+
+from dbarkit.cli import (RunConfig, _json_cell, columns_to_csv, columns_to_json,
+                         main, parse_weight, render_from_log, rows_to_csv)
 from dbarkit.errors import ParameterDomainError
-from dbarkit.weights import DiscPolynomial, FockExponential
+from dbarkit.spectrum import diagnostics, stirling_surrogate
+from dbarkit.weights import DiscPolynomial, FockExponential, MomentSequence
+
+
+def _envelope(config, rows, verdict=None):
+    """The JSON envelope built row by row with json.dumps, the reference for
+    the column writer."""
+    body = {"command": config.command, "config": config.as_dict(),
+            "rows": [{k: _json_cell(v) for k, v in row.items()} for row in rows]}
+    if verdict is not None:
+        body["verdict"] = verdict
+    return json.dumps(body, indent=2) + "\n"
 
 
 class TestParseWeight:
@@ -118,6 +132,69 @@ class TestSpectrum:
         assert main(["spectrum", "--weight", "disc:alpha=0", "--n-max", "30"]) == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert "stirling_surrogate" not in header
+
+
+class TestColumnWriter:
+    # the same values as columns (float ndarrays, a masked first cell) and
+    # as row dicts (floats, None); -0.0 and inf must come out alike
+    LAM = np.array([0.5, -0.0, 1e-300, np.inf, -2.5e10, np.nan])
+    SUR = np.ma.masked_array([9.0, 1.0, -0.0, 1.0 / 3.0, 2.0, 7.0],
+                             mask=[True, False, False, False, False, False])
+
+    def columns(self):
+        return {"n": np.arange(6), "lambda": self.LAM, "stirling_surrogate": self.SUR}
+
+    def rows(self):
+        return [{"n": n, "lambda": float(self.LAM[n]),
+                 "stirling_surrogate": None if n == 0 else float(self.SUR.data[n])}
+                for n in range(6)]
+
+    def test_csv_matches_rows(self):
+        footer = ["classification", "NonCompact", 0.25]
+        text = columns_to_csv(self.columns(), footer=footer)
+        assert text == rows_to_csv(self.rows(), footer=footer)
+        assert text.splitlines()[1:3] == ["0,0.5,", "1,0,1"]
+
+    def test_blocks_of_rows_join_up(self):
+        # the writers format 4096 rows at a time; a table of 9000 spans three
+        lam = np.random.default_rng(5).standard_normal(9000)
+        lam[[0, 4095, 4096, 8999]] = -0.0
+        columns = {"n": np.arange(9000), "lambda": lam}
+        rows = [{"n": n, "lambda": float(v)} for n, v in enumerate(lam)]
+        assert columns_to_csv(columns) == rows_to_csv(rows)
+        config = RunConfig(command="spectrum")
+        assert columns_to_json(config, columns) == _envelope(config, rows)
+
+    def test_json_matches_rows(self):
+        config = RunConfig(command="spectrum", weight="fock:m=3", n_max=5)
+        verdict = {"verdict": "NonCompact", "tail_window": [2, 5]}
+        for v in (None, verdict):
+            assert columns_to_json(config, self.columns(), v) == \
+                _envelope(config, self.rows(), v)
+        assert columns_to_json(config, {}) == _envelope(config, [])
+
+    @pytest.mark.parametrize("weight", ["fock:m=3", "fock:m=2", "disc:alpha=1"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_spectrum_table_matches_rows(self, weight, fmt, capsys):
+        # the spectrum command writes what the row writers give for its values
+        assert main(["spectrum", "--weight", weight, "--n-max", "40",
+                     "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        w = parse_weight(weight)
+        d = diagnostics(MomentSequence(w), 40)
+        rows = []
+        for n in range(41):
+            row = {"n": n, "lambda": float(d.lambdas[n]),
+                   "partial_sum": float(d.partial_sums[n]), "ratio": float(d.ratios[n])}
+            if isinstance(w, FockExponential):
+                row["stirling_surrogate"] = stirling_surrogate(w.m, n) if n else None
+            rows.append(row)
+        if fmt == "csv":
+            assert out.splitlines()[:-1] == rows_to_csv(rows).splitlines()
+        else:
+            body = json.loads(out)
+            config = RunConfig(command="spectrum", weight=weight, n_max=40, fmt="json")
+            assert out == _envelope(config, rows, body["verdict"])
 
 
 class TestSolve:

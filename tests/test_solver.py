@@ -151,6 +151,31 @@ class TestKernel:
         with pytest.raises(SeriesTruncationError):
             kernel_eval(disc0, 0.999, 0.999, rel_tol=1e-10)
 
+    def test_boundary_budget_is_typed_and_fast(self):
+        # |z wbar| = 1 - 2e-10 needs far more than the 10^6-term budget; the
+        # growth x c_k / c_{k+1} can only fall and is still above 1 at the
+        # budget's last term, so the series says so after one block (measured
+        # 0.5 ms, where summing the budget took 1.7 s)
+        from dbarkit.errors import SeriesTruncationError
+        for alpha in (0.0, 10.0):
+            ms = MomentSequence(DiscPolynomial(alpha))
+            t0 = time.perf_counter()
+            with pytest.raises(SeriesTruncationError):
+                kernel_eval(ms, 0.9999999999, 0.9999999999)
+            assert time.perf_counter() - t0 < 0.05
+            assert ms.computed_upto == 0
+
+    def test_log_terms_are_the_running_sum(self, disc1, fock4):
+        # the block sums add ln(x c_k / c_{k+1}) in ascending k, bit for bit
+        from dbarkit.special import _log_series_terms
+        for ms, x in ((disc1, 0.9), (fock4, 15.0), (fock4, 0.0)):
+            logs = _log_series_terms(ms.log_moment(0), ms.log_ratio, x)
+            log_x = math.log(x) if x else -math.inf
+            want = [-ms.log_moment(0)]
+            for k in range(len(logs) - 1):
+                want.append(want[-1] + (log_x - ms.log_ratio(k)))
+            assert logs.tolist() == want
+
     def test_out_of_range_is_typed_and_fast(self, fock2, fock4):
         # K = e^729 / pi on exp(-|z|^2) and about e^1296 on exp(-|z|^4)
         for ms, z in ((fock2, 27.0), (fock4, 6.0)):

@@ -46,6 +46,7 @@ def test_log_factorial():
     assert log_factorial(0) == 0.0
     assert log_factorial(1) == 0.0
     assert log_factorial(10) == pytest.approx(math.log(3628800.0), rel=1e-14)
+    assert log_factorial(10 ** 6) == pytest.approx(math.lgamma(1e6 + 1.0), rel=1e-15)
     with pytest.raises(ParameterDomainError):
         log_factorial(-1)
 
@@ -123,3 +124,44 @@ def test_second_difference_against_mpmath():
                 worst = max(worst, abs(log_gamma_second_difference(float(y), s)
                                        - ref) / abs(ref))
     assert worst <= 1.5e-15  # measured 1.0e-15
+
+
+# -- one code path for scalars and arrays ------------------------------------
+
+# x in (0, 40] crosses the upward shift at 20, with points on both sides of it
+_X = np.concatenate((np.linspace(1e-3, 40.0, 801),
+                     [19.0, 19.999999999999996, 20.0, 20.000000000000004, 21.0]))
+
+
+def test_ratio_array_matches_scalar_calls_bit_for_bit():
+    for s in _SHIFTS + (-0.5, 0.0):
+        x = _X[_X + s > 0.0]
+        got = log_gamma_ratio(x, s)
+        assert isinstance(got, np.ndarray) and got.shape == x.shape
+        want = [log_gamma_ratio(float(v), s) for v in x]
+        assert all(isinstance(w, float) for w in want)
+        assert got.tolist() == want
+
+
+def test_second_difference_array_matches_scalar_calls_bit_for_bit():
+    for s in _SHIFTS + (0.0,):
+        y = _X[_X - s > 0.0]
+        want = [log_gamma_second_difference(float(v), s) for v in y]
+        assert log_gamma_second_difference(y, s).tolist() == want
+
+
+def test_arguments_broadcast():
+    x = np.array([[0.5], [30.0]])
+    s = np.array([0.25, 1.0, 2.0])
+    got = log_gamma_ratio(x, s)
+    assert got.shape == (2, 3)
+    assert got[1, 2] == log_gamma_ratio(30.0, 2.0)
+
+
+def test_bad_element_in_an_array_is_typed():
+    with pytest.raises(ParameterDomainError, match="-1.0"):
+        log_gamma_ratio(np.array([1.0, 2.0, -1.0]), 0.5)
+    with pytest.raises(ParameterDomainError):
+        log_gamma_ratio(np.array([1.0, np.nan]), 0.5)
+    with pytest.raises(ParameterDomainError):
+        log_gamma_second_difference(np.array([5.0, 1.0]), 1.5)

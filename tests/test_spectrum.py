@@ -11,7 +11,6 @@ from dbarkit.spectrum import (
     classify,
     diagnostics,
     eigenvalue,
-    gamma_ratio_difference,
     hs_partial_sum,
     stirling_surrogate,
 )
@@ -90,28 +89,38 @@ class TestAsymptotics:
             math.sqrt(5000.5) - math.sqrt(5000.0), rel=1e-12)
 
     def test_gamma_ratio_difference_values(self):
-        # m=2 collapses to consecutive integer ratios
-        assert gamma_ratio_difference(2.0, 7) == pytest.approx(1.0, abs=1e-13)
+        # lambda_k of exp(-|z|^m) is Gamma((2k+4)/m)/Gamma((2k+2)/m)
+        # - Gamma((2k+2)/m)/Gamma(2k/m); m=2 collapses to consecutive
+        # integer ratios
+        assert FockExponential(2.0).eigenvalue(7) == pytest.approx(1.0, abs=1e-13)
         # m=1, k=1: Gamma(6)/Gamma(4) - Gamma(4)/Gamma(2) = 20 - 6
-        assert gamma_ratio_difference(1.0, 1) == pytest.approx(14.0, rel=1e-13)
+        assert FockExponential(1.0).eigenvalue(1) == pytest.approx(14.0, rel=1e-13)
         # m=4, k=2: 2/sqrt(pi) - sqrt(pi)/2 (high-precision value 0.2421522...)
         want = 2.0 / math.sqrt(math.pi) - math.sqrt(math.pi) / 2.0
-        assert gamma_ratio_difference(4.0, 2) == pytest.approx(want, rel=1e-13)
+        assert FockExponential(4.0).eigenvalue(2) == pytest.approx(want, rel=1e-13)
         assert want == pytest.approx(0.24215224164275462, rel=1e-15)
 
     def test_matches_eigenvalue_for_fock(self):
         for m in (2.0, 3.0, 4.0):
             ms = MomentSequence(FockExponential(m))
-            for k in (1, 5, 50):
-                assert eigenvalue(ms, k) == gamma_ratio_difference(m, k)
+            ks = np.array([1, 5, 50])
+            assert list(eigenvalue(ms, ks)) == [
+                FockExponential(m).eigenvalue(int(k)) for k in ks]
 
     def test_trichotomy_desk_scale(self):
         k = 10 ** 4
-        assert gamma_ratio_difference(1.0, k) > 1e3
-        assert gamma_ratio_difference(2.0, k) == pytest.approx(1.0, abs=1e-12)
-        v4 = gamma_ratio_difference(4.0, k)
+        assert FockExponential(1.0).eigenvalue(k) > 1e3
+        assert FockExponential(2.0).eigenvalue(k) == pytest.approx(1.0, abs=1e-12)
+        v4 = FockExponential(4.0).eigenvalue(k)
         assert v4 < 1e-2
         assert v4 == pytest.approx(stirling_surrogate(4.0, k), rel=0.01)
+
+    def test_surrogate_takes_index_arrays(self):
+        k = np.arange(1, 400)
+        assert stirling_surrogate(3.0, k).tolist() == [
+            stirling_surrogate(3.0, int(j)) for j in k]
+        with pytest.raises(ParameterDomainError):
+            stirling_surrogate(3.0, np.array([1, 0]))
 
     def test_domains(self):
         with pytest.raises(ParameterDomainError):
@@ -119,9 +128,9 @@ class TestAsymptotics:
         with pytest.raises(ParameterDomainError):
             stirling_surrogate(2.0, 0)
         with pytest.raises(ParameterDomainError):
-            gamma_ratio_difference(0.0, 5)
+            FockExponential(0.0).eigenvalue(5)
         with pytest.raises(ParameterDomainError):
-            gamma_ratio_difference(2.0, 0)
+            FockExponential(2.0).eigenvalue(-1)
 
 
 class TestClassification:
@@ -185,3 +194,26 @@ class TestDiagnostics:
     def test_small_window_skips_classification(self, disc0):
         d = diagnostics(disc0, 15)
         assert d.classification is None
+
+    def test_partial_sums_are_the_ascending_sum(self):
+        # np.cumsum adds in ascending n, exactly as a running Python sum
+        for w in (DiscPolynomial(1.0), FockExponential(3.0), FockExponential(0.5)):
+            ms = MomentSequence(w)
+            d = diagnostics(ms, 3000)
+            total, sums = 0.0, []
+            for lam in d.lambdas.tolist():
+                total += lam
+                sums.append(total)
+            assert d.partial_sums.tolist() == sums
+            assert hs_partial_sum(ms, 3000) == sums[-1]
+
+    def test_columns_match_scalar_calls(self):
+        n = np.arange(0, 2001, 97)
+        for w in (DiscPolynomial(2.5), FockExponential(4.0),
+                  CustomRadial(lambda r: np.ones_like(r), support_radius=1.0)):
+            ms = MomentSequence(w)
+            d = diagnostics(ms, 2000 if w.eigenvalue else 40)
+            idx = n[n < d.lambdas.size]
+            assert d.lambdas[idx].tolist() == [eigenvalue(ms, int(k)) for k in idx]
+            assert d.ratios[idx].tolist() == [ms.ratio(int(k)) for k in idx]
+            assert eigenvalue(ms, idx).tolist() == d.lambdas[idx].tolist()

@@ -87,7 +87,7 @@ class TestClosedForms:
 
     def test_disc_log_moment_against_mpmath(self):
         # ln c_n^2 = ln pi + ln Gamma(n+1) + ln Gamma(alpha+1) - ln Gamma(alpha+n+2);
-        # the O(n) log sum accumulates rounding, hence the loose figures
+        # ln Gamma(n+1) is of size n ln n, and a few ulp of it is what is left
         mpmath = pytest.importorskip("mpmath")
 
         def want(alpha, n):
@@ -101,10 +101,40 @@ class TestClosedForms:
                 w = DiscPolynomial(alpha)
                 for n in (0, 1, 2, 7, 50, 100, 999, 2000, 3000):
                     worst = max(worst, abs(w.log_moment(n) - want(alpha, n)))
-            assert worst <= 1e-10  # measured 7.1e-11
+            assert worst <= 2e-11  # measured 1.1e-11
             ref = want(0.5, 30000)
-            # measured 1.7e-10
-            assert abs(DiscPolynomial(0.5).log_moment(30000) - ref) <= 3e-10 * abs(ref)
+            # measured 5.1e-12
+            assert abs(DiscPolynomial(0.5).log_moment(30000) - ref) <= 1e-11 * abs(ref)
+            # the closed form holds for huge alpha, where ln Gamma(alpha+1) alone
+            # is of size 5e202
+            ref = float(mpmath.log(mpmath.pi) + mpmath.loggamma(6) - sum(
+                mpmath.log(mpmath.mpf(1e200) + j) for j in range(1, 7)))
+            assert abs(DiscPolynomial(1e200).log_moment(5) - ref) <= 1e-15 * abs(ref)
+
+    def test_disc_log_moment_is_o1(self):
+        t0 = time.perf_counter()
+        DiscPolynomial(0.5).log_moment(10 ** 6)
+        assert time.perf_counter() - t0 < 0.05  # measured 0.2 ms
+        assert DiscPolynomial(2.5).log_moment(1) == LOG_PI - math.log(3.5 * 4.5)
+
+    def test_closed_forms_take_index_arrays(self):
+        # an index array gives, bit for bit, what the scalar calls give
+        n = np.array([0, 1, 2, 7, 19, 20, 21, 100, 12345, 100000])
+        for w in (DiscPolynomial(0.0), DiscPolynomial(2.5), FockExponential(0.5),
+                  FockExponential(2.0), FockExponential(3.0), FockExponential(7.0)):
+            for method in (w.log_ratio, w.eigenvalue):
+                got = method(n)
+                assert isinstance(got, np.ndarray)
+                assert got.tolist() == [method(int(k)) for k in n]
+                assert all(isinstance(method(int(k)), float) for k in n[:3])
+
+    def test_bad_index_in_an_array_is_typed(self):
+        for w in (DiscPolynomial(1.0), FockExponential(3.0)):
+            for bad in (np.array([0, -1]), np.array([1.0, 2.0]), np.array([True])):
+                with pytest.raises(ParameterDomainError):
+                    w.eigenvalue(bad)
+                with pytest.raises(ParameterDomainError):
+                    w.log_ratio(bad)
 
     def test_moment_log_is_pure(self):
         for w in (DiscPolynomial(1.5), FockExponential(2.5)):
@@ -219,6 +249,34 @@ class TestMomentSequence:
             for n in range(20):
                 assert ms.log_ratio(n) == pytest.approx(
                     ms.log_moment(n + 1) - ms.log_moment(n), abs=1e-12)
+
+    def test_log_ratio_cache_serves_scalars_and_arrays_alike(self):
+        n = np.arange(300)
+        for w in (DiscPolynomial(1.0), FockExponential(3.0)):
+            scalar = [MomentSequence(w).log_ratio(int(k)) for k in n[::37]]
+            ms = MomentSequence(w)
+            scalar_first = [ms.log_ratio(int(k)) for k in n]  # grows it step by step
+            assert scalar_first == MomentSequence(w).log_ratio(n).tolist()
+            assert scalar_first[::37] == scalar
+            assert scalar_first == w.log_ratio(n).tolist()
+            assert ms.ratio(n).tolist() == [ms.ratio(int(k)) for k in n]
+        custom = MomentSequence(CustomRadial(lambda r: np.ones_like(r),
+                                             support_radius=1.0))
+        lr = custom.log_ratio(np.arange(8))
+        assert custom.computed_upto == 8  # no quadrature past the request
+        assert lr.tolist() == [custom.log_moment(k + 1) - custom.log_moment(k)
+                               for k in range(8)]
+
+    def test_array_ratio_overflow_is_typed(self):
+        # ln r_n of exp(-|z|^0.02) passes ln DBL_MAX from n = 11 on
+        ms = MomentSequence(FockExponential(0.02))
+        assert np.isfinite(ms.ratio(np.arange(11))).all()
+        with pytest.raises(UnrepresentableError):
+            ms.ratio(np.arange(12))
+        with pytest.raises(UnrepresentableError):
+            ms.ratio(11)
+        with pytest.raises(ParameterDomainError):
+            ms.log_ratio(np.array([3, -1]))
 
     def test_overflow_is_typed(self):
         # c_1^2 / c_0^2 = Gamma(4000) / Gamma(2000) and c_300^2 = pi 300!
