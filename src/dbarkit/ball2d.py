@@ -210,28 +210,23 @@ def ball_kernel_closed(alpha: float, z, w) -> complex:
 
 
 def ball_moment_quadrature(alpha: float, n1, n2, rel_tol: float = 1e-10) -> float:
-    """ln c_{n1,n2}^2 by nested 1-D adaptive quadratures (independent oracle).
+    """ln c_{n1,n2}^2 by two 1-D adaptive quadratures (independent oracle).
 
     Uses the substitution s1 = 1 - r1^2 - r2^2, s2 = 1 - r2^2, under which
 
-        c^2 = pi^2 * int_0^1 (1-s2)^n2 [ int_0^s2 (s2-s1)^n1 s1^alpha ds1 ] ds2.
+        c^2 = pi^2 * int_0^1 (1-s2)^n2 [ int_0^s2 (s2-s1)^n1 s1^alpha ds1 ] ds2,
+
+    and s1 = s2 t, which turns the inner integral into s2^(n1+alpha+1) times
+    int_0^1 (1-t)^n1 t^alpha dt, so the double integral is a product of two
+    1-D integrals, each to a quarter of ``rel_tol``.
     """
     alpha, n1, n2 = _check_cell(alpha, n1, n2)
     check_rel_tol(rel_tol)
-
-    def inner(s2: float) -> float:
-        def g(s1):
-            return (s2 - s1) ** n1 * s1 ** alpha
-
-        value, _ = adaptive_quad(g, 0.0, s2, rel_tol=1e-12, initial=4)
-        return float(np.real(value))
-
-    def outer(s2s):
-        s2s = np.asarray(s2s, dtype=float)
-        return np.array([(1.0 - s) ** n2 * inner(s) for s in s2s])
-
-    value, _ = adaptive_quad(outer, 0.0, 1.0, rel_tol=0.25 * rel_tol, initial=4)
-    value = math.pi ** 2 * float(np.real(value))
+    value = math.pi ** 2
+    for power, exponent in ((n1, alpha), (n2, n1 + alpha + 1.0)):
+        factor, _ = adaptive_quad(lambda t: (1.0 - t) ** power * t ** exponent,
+                                  0.0, 1.0, rel_tol=0.25 * rel_tol, initial=4)
+        value *= float(np.real(factor))
     if not (math.isfinite(value) and value > 0.0):
         raise DivergenceError(
             f"ball moment ({n1},{n2}) is not finite positive (got {value!r})")

@@ -162,7 +162,7 @@ class TestKernel:
 
 class TestQuadratureOracle:
     def test_small_orders(self):
-        for alpha in (0.0, 1.0, 2.0):
+        for alpha in (0.0, 0.5, 1.0, 2.0):
             for n1, n2 in ((0, 0), (1, 0), (0, 2), (2, 3)):
                 assert abs(ball_moment_quadrature(alpha, n1, n2)
                            - ball_moment_log(alpha, n1, n2)) <= 1e-9
