@@ -54,12 +54,14 @@ def _check_cell(alpha: float, n1, n2, direction: int = 1):
     return _check_alpha(alpha), n1, n2
 
 
-def ball_moment_log(alpha: float, n1, n2) -> float:
+def ball_moment_log(alpha: float, n1, n2):
     """ln c_{n1,n2}^2 = ln pi^2 + ln n1! + ln n2! - sum_{j=1}^{n1+n2+2} ln(alpha+j),
-    with the sum taken as one log-gamma ratio."""
+    with the sum taken as one log-gamma ratio.  ``n1`` and ``n2`` may be
+    index arrays; the terms are added as (ln n1! + ln n2!) + the rest, so the
+    value is symmetric in (n1, n2) bit for bit."""
     alpha, n1, n2 = _check_cell(alpha, n1, n2)
-    return (_LOG_PI2 + log_factorial(n1) + log_factorial(n2)
-            - log_gamma_ratio(alpha + 1.0, n1 + n2 + 2.0))
+    return (log_factorial(n1) + log_factorial(n2)) + (
+        _LOG_PI2 - log_gamma_ratio(alpha + 1.0, n1 + n2 + 2.0))
 
 
 @dataclass(frozen=True)
@@ -71,21 +73,13 @@ class BallMomentGrid:
 
     @classmethod
     def build(cls, alpha: float, n_max: int) -> "BallMomentGrid":
+        """:func:`ball_moment_log` on the grid, its log-gamma ratio taken once
+        per diagonal n1 + n2."""
         alpha = _check_alpha(alpha)
-        n_max = check_index(n_max, "n_max")
-        grid = np.empty((n_max + 1, n_max + 1))
-        grid[0, 0] = ball_moment_log(alpha, 0, 0)
-        for n2 in range(n_max):
-            # c_{0,n2+1}^2 / c_{0,n2}^2 = (n2+1)/(alpha+n2+3)
-            grid[0, n2 + 1] = grid[0, n2] + math.log(n2 + 1.0) \
-                - math.log(alpha + n2 + 3.0)
-        n2 = np.arange(n_max + 1)
-        for n1 in range(n_max):  # one row at a time, down every column
-            grid[n1 + 1] = grid[n1] + math.log(n1 + 1.0) - np.log(alpha + n1 + n2 + 3.0)
-        # the formula is symmetric; mirror the upper triangle so the stored
-        # values are symmetric bit for bit
-        iu = np.triu_indices(n_max + 1, k=1)
-        grid[(iu[1], iu[0])] = grid[iu]
+        n = np.arange(check_index(n_max, "n_max") + 1)
+        lf = log_factorial(n)
+        diag = _LOG_PI2 - log_gamma_ratio(alpha + 1.0, np.arange(2 * len(n) - 1) + 2.0)
+        grid = (lf[:, None] + lf[None, :]) + diag[n[:, None] + n[None, :]]
         if not np.all(np.isfinite(grid)):
             raise DivergenceError("ball moment grid contains non-finite entries")
         return cls(alpha=alpha, log_moments=grid)

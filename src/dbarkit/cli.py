@@ -66,7 +66,6 @@ class RunConfig:
     command: str
     weight: str | None = None
     n_max: int = 50
-    tol: float = 1e-10
     fmt: str = "csv"
     out: str | None = None
     seed: int = DEFAULT_SEED
@@ -77,7 +76,7 @@ class RunConfig:
         # `out` is deliberately not echoed: the artifact must not depend on
         # where it is written
         d = {"command": self.command, "format": self.fmt, "seed": self.seed}
-        for key in ("weight", "n_max", "tol", "only", "coeffs"):
+        for key in ("weight", "n_max", "only", "coeffs"):
             v = getattr(self, key)
             if v is not None:
                 d[key] = v
@@ -221,17 +220,17 @@ def _emit(config: RunConfig, columns: dict, verdict=None, footer=None) -> int:
 
 def cmd_moments(config: RunConfig) -> int:
     weight = parse_weight(config.weight)
-    ms = MomentSequence(weight, quad_rel_tol=config.tol)
+    ms = MomentSequence(weight)
     n = np.arange(config.n_max + 1)
-    log_c2 = [ms.log_moment(k) for k in range(config.n_max + 1)]
-    return _emit(config, {"n": n, "log_c2": np.array(log_c2),
-                          "c2": [render_from_log(v) for v in log_c2],
+    log_c2 = ms.log_moment(n)
+    return _emit(config, {"n": n, "log_c2": log_c2,
+                          "c2": [render_from_log(v) for v in log_c2.tolist()],
                           "ratio": ms.ratio(n)})
 
 
 def cmd_spectrum(config: RunConfig) -> int:
     weight = parse_weight(config.weight)
-    ms = MomentSequence(weight, quad_rel_tol=config.tol)
+    ms = MomentSequence(weight)
     diag = diagnostics(ms, config.n_max)
     n = np.arange(config.n_max + 1)
     columns = {"n": n, "lambda": diag.lambdas,
@@ -288,7 +287,7 @@ def read_coefficients(path: str) -> HolomorphicCoeffs:
 def cmd_solve(config: RunConfig) -> int:
     weight = parse_weight(config.weight)
     f = read_coefficients(config.coeffs)
-    ms = MomentSequence(weight, quad_rel_tol=config.tol)
+    ms = MomentSequence(weight)
     F = apply_solution_operator(f, ms)
     rng = np.random.default_rng(config.seed)
     r = 2.0 * np.sqrt(rng.uniform(0.0, 1.0, 100))
@@ -359,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
         if weight:
             p.add_argument("--weight", required=True,
                            help="family:key=val, e.g. disc:alpha=0 or fock:m=2")
-        p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--format", dest="fmt", choices=("csv", "json"),
                        default="csv")
         p.add_argument("--out", default=None)
@@ -391,7 +389,6 @@ def main(argv=None) -> int:
         command=args.command,
         weight=getattr(args, "weight", None),
         n_max=getattr(args, "n_max", 50),
-        tol=args.tol,
         fmt=args.fmt,
         out=args.out,
         seed=args.seed,

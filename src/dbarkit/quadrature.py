@@ -40,8 +40,7 @@ def _panel(f, a: float, b: float):
 
 
 def adaptive_quad(f, a: float, b: float, rel_tol: float = 1e-10,
-                  abs_tol: float = 0.0, max_panels: int = 10 ** 6,
-                  initial: int = 8, points=None):
+                  max_panels: int = 10 ** 6, initial: int = 8, points=None):
     """Integrate a vectorized ``f`` over [a, b] adaptively.
 
     ``points`` may list interior breakpoints (peak locations and the like)
@@ -49,8 +48,7 @@ def adaptive_quad(f, a: float, b: float, rel_tol: float = 1e-10,
     so that narrow features cannot slip between the nodes of a single coarse
     panel.  Returns ``(value, error_estimate)``; the value is complex when the
     integrand is.  Raises :class:`QuadratureError` when the subdivision budget
-    is exhausted before the estimate reaches
-    ``max(abs_tol, rel_tol * |value|)``.
+    is exhausted before the estimate reaches ``rel_tol * |value|``.
     """
     if b == a:
         return 0.0, 0.0
@@ -75,7 +73,7 @@ def adaptive_quad(f, a: float, b: float, rel_tol: float = 1e-10,
 
     n_panels = len(heap)
     while heap:
-        if total_err <= max(abs_tol, rel_tol * abs(total)):
+        if total_err <= rel_tol * abs(total):
             break
         if n_panels >= max_panels:
             raise QuadratureError(
@@ -98,7 +96,7 @@ def adaptive_quad(f, a: float, b: float, rel_tol: float = 1e-10,
             serial += 1
         n_panels += 1
 
-    if not heap and done and total_err > max(abs_tol, rel_tol * abs(total)):
+    if not heap and done and total_err > rel_tol * abs(total):
         raise QuadratureError(
             "all panels reached floating-point width before meeting the "
             f"tolerance (achieved error estimate {total_err:.3e})",
@@ -108,9 +106,8 @@ def adaptive_quad(f, a: float, b: float, rel_tol: float = 1e-10,
     return value, total_err
 
 
-def unbounded_radial_quad(f, rel_tol: float = 1e-10, abs_tol: float = 0.0,
-                          max_panels: int = 10 ** 6, initial: int = 8,
-                          points=None):
+def unbounded_radial_quad(f, rel_tol: float = 1e-10, max_panels: int = 10 ** 6,
+                          initial: int = 8, points=None):
     """Integrate ``f`` over [0, inf) via the substitution r = t/(1-t).
 
     ``points`` are breakpoints in the r variable.  ``f`` must return exact
@@ -126,5 +123,4 @@ def unbounded_radial_quad(f, rel_tol: float = 1e-10, abs_tol: float = 0.0,
     if points is not None:
         tpoints = [r / (1.0 + r) for r in points if r > 0.0]
     return adaptive_quad(g, 0.0, UNBOUNDED_CLAMP, rel_tol=rel_tol,
-                         abs_tol=abs_tol, max_panels=max_panels,
-                         initial=initial, points=tpoints)
+                         max_panels=max_panels, initial=initial, points=tpoints)

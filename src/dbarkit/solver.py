@@ -222,26 +222,6 @@ def _theta_count(degree: int, minimum: int = 32) -> int:
     return n
 
 
-def _radial_integral(weight, fn, rel_tol: float, points):
-    """Integral over the support of 2 pi * r * density(r) * fn(r).
-
-    ``fn`` maps an ndarray of radii to the angular means of the integrand;
-    radii whose density already underflowed to zero are skipped so the
-    polynomial factors can never produce inf * 0.  ``points`` seed the
-    subdivision.
-    """
-    def radial(radii):
-        dens = np.exp(weight.log_density(radii))
-        out = np.zeros(dens.shape, dtype=complex)
-        mask = dens > 0.0
-        if np.any(mask):
-            vals = fn(radii[mask])
-            out[mask] = 2.0 * math.pi * radii[mask] * dens[mask] * vals
-        return out
-
-    return _radial_quad(weight, radial, rel_tol, points)
-
-
 def defect_norm_quadrature(f: HolomorphicCoeffs, rho: float,
                            moments: MomentSequence,
                            rel_tol: float = 1e-10) -> float:
@@ -264,8 +244,8 @@ def defect_norm_quadrature(f: HolomorphicCoeffs, rho: float,
         return np.mean(diff.real ** 2 + diff.imag ** 2, axis=1)
 
     peak = weight.peak_radius(max(f.degree, 0) + 1)
-    value = _radial_integral(weight, angular_mean, 0.25 * rel_tol,
-                             [0.5 * peak, peak, 2.0 * peak])
+    value = _radial_quad(weight, rel_tol, [0.5 * peak, peak, 2.0 * peak],
+                         fn=angular_mean)
     return float(np.real(value))
 
 
@@ -303,6 +283,6 @@ def reproduce_check(moments: MomentSequence, f: HolomorphicCoeffs, z: complex,
         return np.mean(v * f(w), axis=1)
 
     guess = max(weight.peak_radius(max(f.degree, 0) + 1), absz, 1.0)
-    return complex(_radial_integral(
-        weight, angular_mean, 0.05 * rel_tol,
-        [0.5 * guess, guess, 2.0 * guess, 4.0 * guess]))
+    return complex(_radial_quad(
+        weight, 0.2 * rel_tol, [0.5 * guess, guess, 2.0 * guess, 4.0 * guess],
+        fn=angular_mean))

@@ -2,7 +2,7 @@
 
 Three levels of cancellation control are needed by the rest of the toolkit:
 
-* ``log_gamma(x)``               -- plain ln Gamma(x);
+* ``log_gamma(x)``               -- plain ln Gamma(x), and ``log_factorial(n)``;
 * ``log_gamma_ratio(x, s)``      -- ln Gamma(x+s) - ln Gamma(x), accurate in
   absolute terms even when both terms are of size x*ln(x);
 * ``log_gamma_second_difference(y, s)`` -- ln Gamma(y+s) - 2 ln Gamma(y)
@@ -11,9 +11,10 @@ Three levels of cancellation control are needed by the rest of the toolkit:
 
 The ratio and second-difference forms are what make eigenvalues of the
 diagonalized operator computable to ~1e-15 at index 10^4, where the naive
-route through ln Gamma keeps only ~5 correct digits.  Both take ndarrays
+route through ln Gamma keeps only ~5 correct digits.  All four take ndarrays
 (broadcast against each other) and answer elementwise; a scalar call is their
-0-d case and returns a float.  Small arguments are lifted above 20 by a
+0-d case and returns a float, and a bad element raises
+:class:`ParameterDomainError`.  Small arguments are lifted above 20 by a
 masked loop of at most 20 steps.  The kernel series of the solver and of
 the C^2 ball are summed here from their log terms.
 """
@@ -51,30 +52,31 @@ _LANCZOS_COF = (
 )
 
 
-def log_gamma(x: float) -> float:
+def log_gamma(x):
     """ln Gamma(x) for x > 0, via the Lanczos series.
 
     Arguments below 0.5 go through the reflection identity
     ln Gamma(x) = ln pi - ln sin(pi x) - ln Gamma(1 - x).
     """
-    if not (x > 0.0) or not math.isfinite(x):
-        raise ParameterDomainError(f"log_gamma requires x > 0, got {x!r}")
-    if x < 0.5:
-        return LOG_PI - math.log(math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    tmp = x + _LANCZOS_SHIFT
-    tmp = (x + 0.5) * math.log(tmp) - tmp
-    ser = _LANCZOS_SER0
-    y = x
+    (x,) = _arguments("log_gamma requires x > 0",
+                      lambda x: (x > 0.0) & np.isfinite(x), x)
+    low = x < 0.5
+    y = np.where(low, 1.0 - x, x)
+    tmp = y + _LANCZOS_SHIFT
+    tmp = (y + 0.5) * np.log(tmp) - tmp
+    ser, z = _LANCZOS_SER0, y
     for c in _LANCZOS_COF:
-        y += 1.0
-        ser += c / y
-    return tmp + math.log(_LANCZOS_SQRT2PI * ser / x)
+        z = z + 1.0
+        ser = ser + c / z
+    out = tmp + np.log(_LANCZOS_SQRT2PI * ser / y)
+    sine = np.sin(np.pi * np.where(low, x, 0.5))  # 1 off the reflection
+    return float_or_array(np.where(low, LOG_PI - np.log(sine) - out, out))
 
 
-def log_factorial(n: int) -> float:
+def log_factorial(n):
     """ln n! as ln Gamma(n+1), with ln 0! = ln 1! = 0 exactly."""
     n = check_index(n, "log_factorial argument")
-    return log_gamma(n + 1.0) if n > 1 else 0.0
+    return float_or_array(np.where(n > 1, log_gamma(n + 1.0), 0.0))
 
 
 # Stirling tail J(x) = sum_j B_{2j} / ((2j)(2j-1) x^(2j-1)), j = 1..5.
@@ -93,16 +95,15 @@ def _stirling_tail(x):
     return s * u
 
 
-def _arguments(name, domain, x, s):
-    """``x`` and ``s`` as float ndarrays of one shape, or
-    :class:`ParameterDomainError` naming the first pair outside ``domain``."""
-    x, s = np.broadcast_arrays(np.asarray(x, dtype=float),
-                               np.asarray(s, dtype=float))
-    bad = np.flatnonzero(~domain(x, s))
+def _arguments(name, domain, *args):
+    """``args`` as float ndarrays of one shape, or
+    :class:`ParameterDomainError` naming the first element outside ``domain``."""
+    args = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
+    bad = np.flatnonzero(~domain(*args))
     if bad.size:
         raise ParameterDomainError(
-            f"{name}, got {float(x.flat[bad[0]])!r} and {float(s.flat[bad[0]])!r}")
-    return x, s
+            f"{name}, got " + " and ".join(repr(float(a.flat[bad[0]])) for a in args))
+    return args
 
 
 def _upward_shift(lo, step):

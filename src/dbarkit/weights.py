@@ -23,11 +23,13 @@ weight instead of testing which family it is:
   support, -inf where the density is 0; every radial quadrature is built on
   it (the disc's is also -inf past r = 1);
 * ``log_moment(n)`` -- ln c_n^2, in closed form or by quadrature;
-* ``next_log_moment(logs, rel_tol)`` -- the next entry of a moment cache;
 * ``peak_radius(n)`` -- where r^(2n+1) density(r) peaks, a quadrature breakpoint;
 * ``log_ratio(n)`` and ``eigenvalue(n)`` -- ln(c_{n+1}^2 / c_n^2) and lambda_n
-  of S*S in closed form, or ``None`` where the cached moments supply them;
-  ``n`` is an index or an integer ndarray of indices.
+  of S*S in closed form, or ``None`` where the cached moments supply them.
+
+``log_moment``, ``log_ratio`` and ``eigenvalue`` take an index or an integer
+ndarray of indices, and a :class:`MomentSequence` fills its caches with one
+array call of them.
 
 The quadrature is deliberately kept independent of the closed forms and acts
 as the verification oracle.  For custom weights it is the only route.
@@ -81,7 +83,7 @@ class DiscPolynomial:
         # the shortest repr reads back as the same float
         return f"disc:alpha={repr(self.alpha).removesuffix('.0')}"
 
-    def log_moment(self, n) -> float:
+    def log_moment(self, n):
         """ln c_n^2 = ln pi + ln n! - sum_{j=1}^{n+1} ln(alpha+j).
 
         The sum is ln Gamma(alpha+n+2) - ln Gamma(alpha+1), taken as one
@@ -89,11 +91,6 @@ class DiscPolynomial:
         """
         n = check_index(n, "moment order")
         return LOG_PI + log_factorial(n) - log_gamma_ratio(self.alpha + 1.0, n + 1.0)
-
-    def next_log_moment(self, logs, rel_tol) -> float:
-        if not logs:
-            return LOG_PI - math.log(self.alpha + 1.0)
-        return logs[-1] + self.log_ratio(len(logs) - 1)
 
     def log_ratio(self, n):
         """ln((n+1) / (alpha+n+2))."""
@@ -133,7 +130,7 @@ class FockExponential:
     def label(self) -> str:
         return f"fock:m={repr(self.m).removesuffix('.0')}"
 
-    def log_moment(self, n) -> float:
+    def log_moment(self, n):
         """ln c_n^2 = ln(2 pi / m) + ln Gamma((2n+2)/m).
 
         The identity c_n^2 = (2 pi / m) Gamma((2n+2)/m) follows from
@@ -142,9 +139,6 @@ class FockExponential:
         """
         n = check_index(n, "moment order")
         return LOG_2PI - math.log(self.m) + log_gamma((2.0 * n + 2.0) / self.m)
-
-    def next_log_moment(self, logs, rel_tol) -> float:
-        return self.log_moment(len(logs))
 
     def log_ratio(self, n):
         """ln Gamma((2n+4)/m) - ln Gamma((2n+2)/m), without either log-gamma."""
@@ -167,8 +161,11 @@ class FockExponential:
         return float_or_array(np.where(first, r, r * np.expm1(delta)))
 
     def peak_radius(self, n) -> float:
-        """((2n+1)/m)^(1/m)."""
-        return ((2.0 * n + 1.0) / self.m) ** (1.0 / self.m)
+        """((2n+1)/m)^(1/m), or inf past the double range."""
+        try:
+            return ((2.0 * n + 1.0) / self.m) ** (1.0 / self.m)
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -218,12 +215,12 @@ class CustomRadial:
     def label(self) -> str:
         return "custom"
 
-    def log_moment(self, n) -> float:
-        """ln c_n^2 by quadrature, the only route for a custom density."""
-        return moment_quadrature(self, n)
-
-    def next_log_moment(self, logs, rel_tol) -> float:
-        return moment_quadrature(self, len(logs), rel_tol)
+    def log_moment(self, n):
+        """ln c_n^2 by quadrature, one order at a time: the only route for a
+        custom density."""
+        n = check_index(n, "moment order")
+        return float_or_array(np.vectorize(lambda k: moment_quadrature(self, k),
+                                           otypes=[float])(n))
 
     def peak_radius(self, n) -> float:
         """((2n+1)/2)^(1/2), the peak of r^(2n+1) exp(-r^2).
@@ -238,67 +235,64 @@ class CustomRadial:
 WeightSpec = Union[DiscPolynomial, FockExponential, CustomRadial]
 
 
-def _radial_quad(weight, f, rel_tol, points):
-    """Integral of ``f`` over the support, by r = t/(1-t) if it is unbounded;
-    ``points`` are breakpoints in r that seed the subdivision."""
-    if math.isinf(weight.support_radius):
-        return unbounded_radial_quad(f, rel_tol=rel_tol, points=points)[0]
-    return adaptive_quad(f, 0.0, weight.support_radius, rel_tol=rel_tol,
-                         points=points)[0]
-
-
 # radii of the tail probe, and the radius where r = t/(1-t) stops
 _PROBE_RADII = np.array([1e6, 1e8])
 _CLAMP_RADIUS = UNBOUNDED_CLAMP / (1.0 - UNBOUNDED_CLAMP)
 
 
-def moment_quadrature(weight: WeightSpec, n, rel_tol: float = 1e-10) -> float:
-    """ln c_n^2 by adaptive quadrature of 2 pi * int r^(2n+1) density(r) dr.
+def _radial_quad(weight, rel_tol, points, power=1, fn=None):
+    """2 pi * integral over the support of r^power density(r) fn(r) dr, by
+    adaptive quadrature to rel_tol / 4 from the breakpoints ``points``.
 
-    The integrand is exp(ln 2 pi + (2n+1) ln r + log_density(r)), so
-    r^(2n+1) cannot overflow before the density underflows.  Unbounded
-    supports are folded onto [0, 1) by r = t/(1-t), which stops at r ~ 1e12.
-    There ln(r f(r)) is probed at r = 1e6 and 1e8: a moment whose r f(r) has
-    not begun to decay by 1e8 raises :class:`DivergenceError` before any
-    quadrature, and so does one whose power-law tail past the clamp exceeds
-    ``rel_tol`` of the value.  Independent of the closed forms; this is the
-    oracle the closed forms are tested against.
+    ``fn`` (angular means, say) is only called where the density has not
+    underflowed, so it cannot produce inf * 0; without it the integrand is
+    exp(ln 2 pi + power ln r + log_density(r)).  An unbounded support is
+    folded onto [0, 1) by r = t/(1-t), which stops at r ~ 1e12, and ln(r f(r))
+    of the integrand f is probed at r = 1e6 and 1e8 first: if r f(r) has not
+    begun to decay by 1e8, or its power-law tail past the clamp exceeds
+    ``rel_tol`` of the value, :class:`DivergenceError` is raised.
     """
-    n = check_index(n, "moment order")
-    check_rel_tol(rel_tol)
-    power = 2 * n + 1
-
-    def log_f(r):  # r > 0
+    def log_f(r):  # r > 0, without fn
         return LOG_2PI + power * np.log(r) + weight.log_density(r)
 
+    def density_and_fn(r):  # fn is left 0 where the density underflowed
+        dens = np.exp(weight.log_density(r))
+        vals = np.zeros(dens.shape, dtype=complex)
+        live = dens > 0.0
+        if live.any():
+            vals[live] = fn(r[live])
+        return dens, vals
+
+    def integrand(r):
+        if fn is None:
+            return np.exp(log_f(r))
+        dens, vals = density_and_fn(r)
+        return 2.0 * math.pi * r ** power * dens * vals
+
     def integrate(tol):
-        peak = weight.peak_radius(n)
-        try:
-            with np.errstate(over="ignore"):  # an inf raises just below
-                value = float(_radial_quad(
-                    weight, lambda r: np.exp(log_f(r)), tol,
-                    [0.25 * peak, 0.5 * peak, peak, 2.0 * peak, 4.0 * peak]))
-        except DivergenceError as exc:
-            raise DivergenceError(f"moment of order {n} diverges: {exc}",
-                                  order=n) from exc
-        if not (math.isfinite(value) and value > 0.0):
+        with np.errstate(over="ignore"):  # an inf raises in the quadrature
+            if math.isinf(weight.support_radius):
+                value = unbounded_radial_quad(integrand, rel_tol=tol, points=points)[0]
+            else:
+                value = adaptive_quad(integrand, 0.0, weight.support_radius,
+                                      rel_tol=tol, points=points)[0]
+        log_value = math.log(abs(value)) if value else -math.inf
+        if log_tail > math.log(rel_tol) + log_value:
             raise DivergenceError(
-                f"moment of order {n} is not a finite positive number "
-                f"(got {value!r})", order=n)
-        if log_tail > math.log(rel_tol * value):
-            raise DivergenceError(
-                f"moment of order {n} looks divergent: its tail past r = "
-                f"{_CLAMP_RADIUS:.0e} exceeds rel_tol", order=n)
+                f"its tail past r = {_CLAMP_RADIUS:.0e} exceeds rel_tol of the value")
         return value
 
     log_tail = -math.inf
     if math.isinf(weight.support_radius):
-        log6, log8 = log_f(_PROBE_RADII) + np.log(_PROBE_RADII)
-        if log8 > -math.inf and not log8 < log6:
-            raise DivergenceError(
-                f"moment of order {n} looks divergent: r^(2n+2) density(r) "
-                "has not begun to decay by r = 1e8", order=n)
+        log_probe = log_f(_PROBE_RADII) + np.log(_PROBE_RADII)
+        if fn is not None:
+            with np.errstate(divide="ignore"):
+                log_probe += np.log(np.abs(density_and_fn(_PROBE_RADII)[1]))
+        log6, log8 = log_probe
         if log8 > -math.inf:
+            if not log8 < log6:
+                raise DivergenceError(
+                    "r f(r) of the integrand f has not begun to decay by r = 1e8")
             # the power law r f(r) ~ exp(log8) (r/1e8)^(-q) through the
             # probes, integrated past the clamp
             q = (log6 - log8) / math.log(100.0)
@@ -308,7 +302,31 @@ def moment_quadrature(weight: WeightSpec, n, rel_tol: float = 1e-10) -> float:
                 # coarse value first, since near the clamp the fine
                 # quadrature can spin for seconds on the rounding of t/(1-t)
                 integrate(1e-3)
-    return math.log(integrate(0.25 * rel_tol))
+    return integrate(0.25 * rel_tol)
+
+
+def moment_quadrature(weight: WeightSpec, n, rel_tol: float = 1e-10) -> float:
+    """ln c_n^2 by adaptive quadrature of 2 pi * int r^(2n+1) density(r) dr,
+    in log scale so r^(2n+1) cannot overflow before the density underflows.
+
+    Independent of the closed forms; this is the oracle the closed forms are
+    tested against.
+    """
+    n = check_index(n, "moment order")
+    check_rel_tol(rel_tol)
+    peak = weight.peak_radius(n)
+    try:
+        value = float(_radial_quad(
+            weight, rel_tol,
+            [0.25 * peak, 0.5 * peak, peak, 2.0 * peak, 4.0 * peak], power=2 * n + 1))
+    except DivergenceError as exc:
+        raise DivergenceError(f"moment of order {n} diverges: {exc}",
+                              order=n) from exc
+    if not (math.isfinite(value) and value > 0.0):
+        raise DivergenceError(
+            f"moment of order {n} is not a finite positive number "
+            f"(got {value!r})", order=n)
+    return math.log(value)
 
 
 class MomentSequence:
@@ -318,21 +336,21 @@ class MomentSequence:
     repeated queries return bit-identical values.  Instances are therefore
     safe to share between concurrent readers.
 
-    ``log_ratio(n)`` returns ln(c_{n+1}^2 / c_n^2) through a path that keeps
-    its *absolute* error at a few ulp even when the log moments themselves
-    are huge; eigenvalue computations depend on this.  It and ``ratio(n)``
-    serve an index or an index array from a cache of their own, which grows
-    geometrically by one array call of the weight's closed form; a custom
-    weight fills it with the differences of the cached log moments.
+    Queries take an index or an index array.  A closed form fills each
+    cache in geometrically growing blocks by one array call; a quadrature
+    fills the log moments one order at a time up to the request, so a
+    failing order keeps the ones before it.  ``log_ratio(n)``, and
+    ``ratio(n)``, have a cache of their own, filled by the closed form
+    ln(c_{n+1}^2 / c_n^2), which keeps its *absolute* error at a few ulp
+    when the log moments are huge, or for a custom weight by differences of
+    the cached log moments.
     """
 
-    def __init__(self, weight: WeightSpec, quad_rel_tol: float = 1e-10):
+    def __init__(self, weight: WeightSpec):
         if not isinstance(weight, (DiscPolynomial, FockExponential, CustomRadial)):
             raise ParameterDomainError(f"unknown weight specification {weight!r}")
         self.weight = weight
-        self._quad_rel_tol = quad_rel_tol
-        self._logs: list[float] = []
-        self._log_ratios = self._ratios = np.empty(0)
+        self._logs = self._log_ratios = self._ratios = np.empty(0)
 
     # -- cache ------------------------------------------------------------
 
@@ -340,24 +358,35 @@ class MomentSequence:
         """Extend the cache so that ln c_k^2 is available for all k <= n."""
         n = check_index(n, "moment order")
         while len(self._logs) <= n:
-            self._logs.append(
-                self.weight.next_log_moment(self._logs, self._quad_rel_tol))
+            have = len(self._logs)
+            stop = (have + 1 if self.weight.log_ratio is None
+                    else max(n + 1, 2 * have, 64))
+            self._logs = np.concatenate(
+                (self._logs, self.weight.log_moment(np.arange(have, stop))))
 
-    def _ratio_cache(self, n, cache: str):
-        """The ``cache`` entries at the index or index array ``n``."""
+    def _grow_ratios(self, top: int) -> None:
+        """Extend the log ratio and ratio caches past index ``top``."""
+        have = len(self._log_ratios)
+        if self.weight.log_ratio is None:
+            self.ensure(top + 1)
+            new = np.diff(self._logs[have:])
+        else:
+            new = self.weight.log_ratio(np.arange(have, max(top + 1, 2 * have, 64)))
+        with np.errstate(over="ignore"):  # inf past the range: ratio() raises
+            self._ratios = np.concatenate((self._ratios[:have], np.exp(new)))
+        # set last: a reader that sees the longer log ratios sees both
+        self._log_ratios = np.concatenate((self._log_ratios[:have], new))
+
+    def _read(self, cache: str, n, grow):
+        """The ``cache`` entries at the index or index array ``n``, after
+        ``grow(top)`` has extended the cache to the largest index."""
+        out = getattr(self, cache)
+        if type(n) is int and 0 <= n < len(out):  # the common scalar read
+            return float(out[n])
         n = check_index(n, "moment order")
         top = n if isinstance(n, int) else int(n.max(initial=-1))
-        have = len(self._log_ratios)
-        if top >= have:
-            if self.weight.log_ratio is None:
-                self.ensure(top + 1)
-                new = np.diff(self._logs[have:])
-            else:
-                new = self.weight.log_ratio(np.arange(have, max(top + 1, 2 * have, 64)))
-            with np.errstate(over="ignore"):  # inf past the range: ratio() raises
-                self._ratios = np.concatenate((self._ratios[:have], np.exp(new)))
-            # set last: a reader that sees the longer log ratios sees both
-            self._log_ratios = np.concatenate((self._log_ratios[:have], new))
+        if top >= len(out):
+            grow(top)
         out = getattr(self, cache)[n]
         return float(out) if isinstance(n, int) else out
 
@@ -369,13 +398,13 @@ class MomentSequence:
     @property
     def log_moments(self) -> np.ndarray:
         """Copy of the cached ln c_n^2 values."""
-        return np.array(self._logs, dtype=float)
+        return self._logs.copy()
 
     # -- queries ------------------------------------------------------------
 
-    def log_moment(self, n: int) -> float:
-        self.ensure(n)
-        return self._logs[n]
+    def log_moment(self, n):
+        """ln c_n^2 at an index or an index array."""
+        return self._read("_logs", n, self.ensure)
 
     def moment(self, n: int) -> float:
         """c_n^2, or :class:`UnrepresentableError` on overflow."""
@@ -383,11 +412,11 @@ class MomentSequence:
 
     def log_ratio(self, n):
         """ln(c_{n+1}^2 / c_n^2) at an index or an index array."""
-        return self._ratio_cache(n, "_log_ratios")
+        return self._read("_log_ratios", n, self._grow_ratios)
 
     def ratio(self, n):
         """c_{n+1}^2 / c_n^2, or :class:`UnrepresentableError` on overflow."""
-        out = self._ratio_cache(n, "_ratios")
+        out = self._read("_ratios", n, self._grow_ratios)
         if np.isinf(out).any() if isinstance(out, np.ndarray) else out == math.inf:
             checked_exp(float(np.max(self.log_ratio(n))),
                         "moment ratio c_{n+1}^2 / c_n^2")

@@ -41,8 +41,14 @@ class TestMoments:
         g = BallMomentGrid.build(2.0, 40)
         for n1 in range(0, 41, 8):
             for n2 in range(0, 41, 8):
-                assert g.log_moment(n1, n2) == pytest.approx(
-                    ball_moment_log(2.0, n1, n2), abs=1e-12)
+                assert g.log_moment(n1, n2) == ball_moment_log(2.0, n1, n2)
+
+    def test_grid_is_the_closed_form_on_index_arrays(self):
+        for alpha, n_max in ((0.0, 0), (0.5, 17), (2.0, 40), (7.3, 120)):
+            n = np.arange(n_max + 1)
+            want = ball_moment_log(alpha, n[:, None], n[None, :])
+            assert np.array_equal(BallMomentGrid.build(alpha, n_max).log_moments, want)
+            assert want[n_max, 0] == ball_moment_log(alpha, n_max, 0)
 
     def test_grid_exact_symmetry(self):
         g = BallMomentGrid.build(1.5, 30)

@@ -150,6 +150,19 @@ def test_second_difference_array_matches_scalar_calls_bit_for_bit():
         assert log_gamma_second_difference(y, s).tolist() == want
 
 
+def test_log_gamma_array_matches_scalar_calls_bit_for_bit():
+    # _X crosses the reflection at 0.5 as well as the shift at 20
+    got = log_gamma(_X)
+    want = [log_gamma(float(v)) for v in _X]
+    assert all(isinstance(w, float) for w in want)
+    assert got.tolist() == want
+    n = np.arange(41)
+    want = [log_factorial(int(k)) for k in n]
+    assert want[:2] == [0.0, 0.0]
+    assert log_factorial(n).tolist() == want
+    assert log_factorial(n.reshape(41, 1)).shape == (41, 1)
+
+
 def test_arguments_broadcast():
     x = np.array([[0.5], [30.0]])
     s = np.array([0.25, 1.0, 2.0])
@@ -165,3 +178,9 @@ def test_bad_element_in_an_array_is_typed():
         log_gamma_ratio(np.array([1.0, np.nan]), 0.5)
     with pytest.raises(ParameterDomainError):
         log_gamma_second_difference(np.array([5.0, 1.0]), 1.5)
+    with pytest.raises(ParameterDomainError, match="-2.0"):
+        log_gamma(np.array([1.0, 0.25, -2.0]))
+    with pytest.raises(ParameterDomainError):
+        log_gamma(np.array([1.0, np.inf]))
+    with pytest.raises(ParameterDomainError):
+        log_factorial(np.array([3, -1]))

@@ -227,16 +227,64 @@ class TestMomentSequence:
         ms = MomentSequence(DiscPolynomial(0.0))
         assert ms.computed_upto == -1
         ms.log_moment(5)
-        assert ms.computed_upto == 5
+        upto = ms.computed_upto
+        assert upto >= 5
+        logs = ms.log_moments
         ms.log_moment(2)  # no shrink, no recompute
-        assert ms.computed_upto == 5
-        assert len(ms.log_moments) == 6
+        assert ms.computed_upto == upto
+        assert ms.log_moments.tolist() == logs.tolist()
+        # a quadrature-backed cache stops exactly at the request
+        custom = MomentSequence(CustomRadial(lambda r: np.ones_like(r),
+                                             support_radius=1.0))
+        custom.log_moment(5)
+        assert custom.computed_upto == 5
+        custom.log_moment(2)
+        assert custom.computed_upto == 5
+        assert len(custom.log_moments) == 6
+
+    def test_custom_failure_keeps_earlier_orders(self):
+        # 2 pi int r^(2n+1) (1+r)^-5 dr is finite for n = 0, 1 only
+        ms = MomentSequence(CustomRadial(lambda r: (1.0 + r) ** -5.0))
+        with pytest.raises(DivergenceError) as info:
+            ms.ensure(4)
+        assert info.value.order == 2
+        assert ms.computed_upto == 1
 
     def test_disc_values_match_closed_form(self):
         ms = MomentSequence(DiscPolynomial(2.5))
         for n in range(60):
-            assert ms.log_moment(n) == pytest.approx(
-                DiscPolynomial(2.5).log_moment(n), abs=1e-12)
+            assert ms.log_moment(n) == DiscPolynomial(2.5).log_moment(n)
+
+    def test_one_route_bit_for_bit(self):
+        n = np.arange(3000)
+        for w in (DiscPolynomial(0.0), DiscPolynomial(0.5), DiscPolynomial(2.5),
+                  FockExponential(2.0), FockExponential(3.0)):
+            want = [w.log_moment(int(k)) for k in n]
+            assert MomentSequence(w).log_moment(n).tolist() == want
+            ms = MomentSequence(w)
+            assert [ms.log_moment(int(k)) for k in n] == want
+            assert w.log_moment(n).tolist() == want
+
+    def test_closed_form_cache_grows_in_blocks(self, monkeypatch):
+        for cls, p in ((DiscPolynomial, 1.0), (FockExponential, 3.0)):
+            calls = []
+            log_moment = cls.log_moment
+            monkeypatch.setattr(cls, "log_moment",
+                                lambda self, n: calls.append(n) or log_moment(self, n))
+            ms = MomentSequence(cls(p))
+            ms.ensure(10 ** 5)
+            assert ms.computed_upto >= 10 ** 5
+            assert len(calls) <= 12
+
+    def test_custom_log_moment_takes_arrays(self):
+        w = CustomRadial(lambda r: np.ones_like(r), support_radius=1.0)
+        n = np.array([[0, 3], [1, 2]])
+        got = w.log_moment(n)
+        assert got.shape == (2, 2)
+        assert got.tolist() == [[w.log_moment(int(k)) for k in row] for row in n]
+        assert isinstance(w.log_moment(3), float)
+        with pytest.raises(ParameterDomainError):
+            w.log_moment(np.array([1, -1]))
 
     def test_fock_values_match_closed_form(self):
         ms = MomentSequence(FockExponential(3.0))
@@ -304,7 +352,7 @@ class TestMomentSequence:
 
     def test_log_convexity_custom(self):
         w = CustomRadial(lambda r: np.ones_like(r), support_radius=1.0)
-        ms = MomentSequence(w, quad_rel_tol=1e-10)
+        ms = MomentSequence(w)
         # quadrature-backed logs carry the oracle tolerance, not 1e-12
         assert ms.log_convexity_defect(25) <= 1e-9
 
