@@ -258,7 +258,7 @@ def criterion_solver_exactness(seed, report):
                 worst_orth = max(worst_orth, abs(ip) / max(norm_f, 1e-300))
             pts = _disc_points(rng, 100, 2.0)
             fmax = float(np.max(np.abs(f(pts)))) if f.degree >= 0 else 0.0
-            res = dbar_residual(F, f, pts, h=1e-5)
+            res = dbar_residual(F, f, pts)
             worst_dbar = max(worst_dbar, res / max(1.0, fmax))
         ok = conj_ok and worst_orth <= 1e-12 and worst_dbar <= 1e-6
         report.add(ok, f"{w.label}: conj={conj_ok}, orth={worst_orth:.3e}, "

@@ -189,16 +189,14 @@ def monomial_inner_product(F: HybridFunction, j: int,
     return moments.moment(j) * (g * moments.ratio(j) + h)
 
 
-def dbar_residual(F: HybridFunction, f: HolomorphicCoeffs, points,
-                  h: float = 1e-5) -> float:
+def dbar_residual(F: HybridFunction, f: HolomorphicCoeffs, points) -> float:
     """max over points of |finite-difference d/dzbar of F  -  f|.
 
     The Wirtinger derivative (d/dx + i d/dy)/2 is approximated by central
-    differences of step ``h`` on the evaluated F; this validates the
+    differences of step h = 1e-5 on the evaluated F; this validates the
     evaluation code against the exact coefficient-level identity.
     """
-    if not (1e-8 < h < 1e-3):
-        raise ParameterDomainError(f"h must lie in (1e-8, 1e-3), got {h!r}")
+    h = 1e-5
     pts = np.asarray(points, dtype=complex)
     if pts.size == 0:
         raise ParameterDomainError("points must be a nonempty collection")

@@ -37,6 +37,11 @@ from .weights import MomentSequence
 P_DECAY = 0.05
 #: Fitted decay exponents above this value count as "sum lambda_n converges".
 P_SUMMABLE = 1.25
+#: A tail window of lambda_n below this counts as decayed, and a relative
+#: drift of r_n below it as a settled limit.
+EPS_ZERO = 1e-3
+#: Moment ratios r_n at or above this count as unbounded.
+BIG = 1e6
 
 
 class Verdict(str, Enum):
@@ -128,8 +133,7 @@ def _decay_exponent(lam_first: float, lam_last: float, n_first: int,
 
 
 def classify(moments: MomentSequence, tail_start: int = 1000,
-             tail_len: int = 1000, eps_zero: float = 1e-3,
-             big: float = 1e6) -> Classification:
+             tail_len: int = 1000) -> Classification:
     """Classify the operator from the tail behavior of lambda_n and r_n.
 
     The mathematical criteria are: Hilbert-Schmidt iff r_n stays bounded,
@@ -138,22 +142,20 @@ def classify(moments: MomentSequence, tail_start: int = 1000,
 
     * ``lambda_n`` is judged decaying to zero when its fitted power-law
       exponent exceeds ``P_DECAY`` or the whole window already sits below
-      ``eps_zero``; otherwise the verdict is NonCompact.
+      ``EPS_ZERO``; otherwise the verdict is NonCompact.
     * Among decaying spectra, r_n is judged to have a finite limit when it
-      stays below ``big`` and either its relative drift over the window is
-      below ``eps_zero`` or the decay exponent exceeds ``P_SUMMABLE`` (so the
+      stays below ``BIG`` and either its relative drift over the window is
+      below ``EPS_ZERO`` or the decay exponent exceeds ``P_SUMMABLE`` (so the
       remaining tail sum is finite); the verdict is then HilbertSchmidt, and
       CompactNotHilbertSchmidt otherwise.
 
     A window can only ever give evidence, not proof: decays slower than
     n^(-P_DECAY) (weights just beyond the compactness boundary) are reported
     NonCompact at desk scale.  The evidence record accompanies every verdict
-    so callers can judge, and all thresholds are overridable.
+    so callers can judge; the thresholds are the module constants above.
     """
     a = check_index(tail_start, "tail_start", 1)
     b = a + check_index(tail_len, "tail_len", 10)
-    if not (eps_zero > 0.0 and big > 0.0):
-        raise ParameterDomainError("eps_zero and big must be positive")
 
     samples = np.unique(np.linspace(a, b, min(65, b - a + 1)).astype(int))
     lams = eigenvalue(moments, samples)
@@ -171,16 +173,15 @@ def classify(moments: MomentSequence, tail_start: int = 1000,
         tail_window=(a, b), lambda_tail_max=lam_max, lambda_tail_min=lam_min,
         ratio_tail=r_b, ratio_drift=drift, decay_exponent=p)
 
-    decaying = lam_max < eps_zero or p >= P_DECAY
+    decaying = lam_max < EPS_ZERO or p >= P_DECAY
     if not decaying:
         return Classification(Verdict.NON_COMPACT, evidence)
-    if r_sup < big and (drift < eps_zero or p > P_SUMMABLE):
+    if r_sup < BIG and (drift < EPS_ZERO or p > P_SUMMABLE):
         return Classification(Verdict.HILBERT_SCHMIDT, evidence)
     return Classification(Verdict.COMPACT_NOT_HILBERT_SCHMIDT, evidence)
 
 
-def diagnostics(moments: MomentSequence, n_max: int,
-                eps_zero: float = 1e-3, big: float = 1e6) -> SpectralDiagnostics:
+def diagnostics(moments: MomentSequence, n_max: int) -> SpectralDiagnostics:
     """Tabulate lambda_n, r_n and partial sums for n <= n_max.
 
     The classification window is fitted into [n_max // 2, n_max]; when that
@@ -196,8 +197,7 @@ def diagnostics(moments: MomentSequence, n_max: int,
     tail_len = n_max - tail_start
     classification = None
     if tail_len >= 10:
-        classification = classify(moments, tail_start=tail_start,
-                                  tail_len=tail_len, eps_zero=eps_zero, big=big)
+        classification = classify(moments, tail_start=tail_start, tail_len=tail_len)
     return SpectralDiagnostics(weight=moments.weight, lambdas=lams,
                                ratios=ratios, partial_sums=sums,
                                classification=classification)

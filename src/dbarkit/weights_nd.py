@@ -12,6 +12,11 @@ is integrable for tau < sigma.  :func:`check_hilbert_schmidt_hypotheses` probes 
 four *numerically*: a grid search can only ever report "consistent with",
 never "proven", and the report says so.
 
+Every value of p comes from :meth:`PshWeight.evaluate` on an array of points.
+The asymptotic checks read p once on the rays r d, r in ``SAMPLE_RADII`` and
+d in a few unit directions, and judge it against the fixed thresholds
+``GROWTH_THRESHOLD`` and ``RATIO_TOL``.
+
 Suprema are computed by a coarse grid over a ball plus local zoom rounds.
 The grid has ``grid`` points per real dimension, so the cost is
 grid^(2 dimension); dimensions above 3 are rejected outright and even
@@ -24,10 +29,16 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InconclusiveSupremumError, ParameterDomainError
+from .errors import (DbarKitError, InconclusiveSupremumError, ParameterDomainError,
+                     float_or_array)
 from .quadrature import unbounded_radial_quad
 
-_DEFAULT_RADII = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
+#: Increasing radii 1, 2, 4, ..., 1024 along which the asymptotic checks sample p.
+SAMPLE_RADII = 2.0 ** np.arange(11)
+#: p(z)/|z| at the largest sample radius must reach this (superlinear growth).
+GROWTH_THRESHOLD = 10.0
+#: |p~/p - 1| at the largest sample radius must be within this.
+RATIO_TOL = 1e-2
 _MAX_GRID_POINTS = 2_000_000
 
 
@@ -37,45 +48,36 @@ class PshWeight:
 
     ``p`` receives one point as a complex ndarray of shape (dimension,) and
     must return a finite float.  It may *additionally* accept a batch of
-    shape (N, dimension) and return shape (N,); the grid searches detect this
-    and run orders of magnitude faster on such weights.  ``sample_radii`` is
-    the increasing ladder of radii used by the asymptotic checks.
+    shape (N, dimension) and return shape (N,); :meth:`evaluate` tries the
+    batch first, so such weights run orders of magnitude faster.
     """
 
     dimension: int
     p: Callable = field(compare=False)
-    sample_radii: tuple = _DEFAULT_RADII
 
     def __post_init__(self):
         if not (isinstance(self.dimension, int) and 1 <= self.dimension <= 3):
             raise ParameterDomainError(
                 f"dimension must be an integer in [1, 3], got {self.dimension!r}")
-        radii = tuple(float(r) for r in self.sample_radii)
-        if len(radii) < 2 or any(r <= 0 for r in radii) or \
-                any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ParameterDomainError(
-                "sample_radii must be a strictly increasing list of positive reals")
-        object.__setattr__(self, "sample_radii", radii)
 
-    def evaluate(self, z) -> float:
-        val = float(self.p(np.asarray(z, dtype=complex).reshape(self.dimension)))
-        if not math.isfinite(val):
-            raise ParameterDomainError(f"weight returned non-finite value at {z!r}")
-        return val
-
-    def evaluate_batch(self, pts: np.ndarray) -> np.ndarray:
-        """p on an (N, dimension) array, via the batch fast path if p has one."""
+    def evaluate(self, z):
+        """p at the points ``z`` of shape (..., dimension): a float for one
+        point, else an ndarray of shape ``z.shape[:-1]``."""
+        z = np.asarray(z, dtype=complex)
+        pts = z.reshape(-1, self.dimension)
         try:
             vals = np.asarray(self.p(pts), dtype=float)
-            if vals.shape != (pts.shape[0],):
+            if vals.shape != (len(pts),):
                 raise ValueError
         except ParameterDomainError:
             raise
         except Exception:
-            vals = np.array([self.evaluate(pt) for pt in pts])
-        if not np.all(np.isfinite(vals)):
-            raise ParameterDomainError("weight returned non-finite values")
-        return vals
+            vals = np.array([float(self.p(pt)) for pt in pts])
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            raise ParameterDomainError(
+                f"weight returned non-finite value at {pts[bad][0]!r}")
+        return float_or_array(vals.reshape(z.shape[:-1]))
 
 
 def _check_grid(grid: int, dim: int) -> None:
@@ -96,23 +98,23 @@ def _axis_grid(center: np.ndarray, halfwidth: float, grid: int, dim: int):
     return zs + center[None, :]
 
 
-def _refine(fun_batch, center, cell, dim, rounds, clamp=None):
+def _refine(fun, center, cell, dim, rounds, clamp=None) -> float:
     # np.argmax takes the first maximizer, i.e. the lexicographically
     # smallest grid index, so ties break deterministically
     best_pt = center
-    best_val = float(fun_batch(center[None, :])[0])
+    best_val = float(fun(center[None, :])[0])
     width = cell
     for _ in range(rounds):
         pts = _axis_grid(best_pt, width, 17, dim)
         if clamp is not None:
             pts = clamp(pts)
-        vals = fun_batch(pts)
+        vals = fun(pts)
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val = float(vals[i])
             best_pt = pts[i]
         width /= 8.0
-    return best_pt, best_val
+    return best_val
 
 
 def conjugate_transform(weight: PshWeight, w, search_radius: float | None = None,
@@ -132,7 +134,7 @@ def conjugate_transform(weight: PshWeight, w, search_radius: float | None = None
     _check_grid(grid, dim)
 
     def supremand(pts) -> np.ndarray:
-        return np.real(pts @ np.conj(wv)) - weight.evaluate_batch(pts)
+        return np.real(pts @ np.conj(wv)) - weight.evaluate(pts)
 
     pts = _axis_grid(np.zeros(dim, dtype=complex), search_radius, grid, dim)
     norms = np.linalg.norm(pts, axis=1)
@@ -145,8 +147,7 @@ def conjugate_transform(weight: PshWeight, w, search_radius: float | None = None
         raise InconclusiveSupremumError(
             f"supremand peaks within one cell of |z| = {search_radius}; "
             "enlarge search_radius")
-    _, best = _refine(supremand, pts[idx], cell, dim, refine_rounds)
-    return best
+    return _refine(supremand, pts[idx], cell, dim, refine_rounds)
 
 
 def sup_shift(weight: PshWeight, z, grid: int = 64, refine_rounds: int = 2) -> float:
@@ -166,11 +167,10 @@ def sup_shift(weight: PshWeight, z, grid: int = 64, refine_rounds: int = 2) -> f
         return zv[None, :] + offs * scale[:, None]
 
     pts = project(_axis_grid(zv, 1.0, grid, dim))
-    idx = int(np.argmax(weight.evaluate_batch(pts)))
+    idx = int(np.argmax(weight.evaluate(pts)))
     cell = 2.0 / (grid - 1)
-    _, best = _refine(weight.evaluate_batch, pts[idx], cell, dim,
-                      refine_rounds, clamp=project)
-    return best
+    return _refine(weight.evaluate, pts[idx], cell, dim, refine_rounds,
+                   clamp=project)
 
 
 @dataclass(frozen=True)
@@ -205,43 +205,39 @@ class HypothesisReport:
         return "\n".join(lines)
 
 
-def _probe_directions(dim: int) -> list[np.ndarray]:
-    dirs = [np.eye(dim, dtype=complex)[j] for j in range(dim)]
-    if dim > 1:
-        dirs.append(np.ones(dim, dtype=complex) / math.sqrt(dim))
-    else:
-        dirs.append(np.array([(1.0 + 1.0j) / math.sqrt(2.0)]))
-    return dirs
+def _probe_directions(dim: int) -> np.ndarray:
+    """The coordinate axes and one diagonal, as the rows of a (dim+1, dim) array."""
+    diagonal = (np.ones(dim, dtype=complex) / math.sqrt(dim) if dim > 1
+                else np.array([(1.0 + 1.0j) / math.sqrt(2.0)]))
+    return np.vstack([np.eye(dim, dtype=complex), diagonal])
 
 
 def check_hilbert_schmidt_hypotheses(weight: PshWeight, tau: float, sigma: float,
-                              grid: int = 64, growth_threshold: float = 10.0,
-                              ratio_tol: float = 1e-2) -> HypothesisReport:
+                                     grid: int = 64) -> HypothesisReport:
     """Numerically probe the four weight hypotheses at tau < sigma.
 
     (a) the conjugate p* is finite at probe points;
-    (b) p(z)/|z| increases along ``sample_radii`` and ends above
-        ``growth_threshold`` (consistent with superlinear growth);
-    (c) p~/p approaches 1 monotonically, within ``ratio_tol`` at the largest
+    (b) p(z)/|z| increases along ``SAMPLE_RADII`` and ends above
+        ``GROWTH_THRESHOLD`` (consistent with superlinear growth);
+    (c) p~/p approaches 1 monotonically, within ``RATIO_TOL`` at the largest
         radius;
     (d) the radial estimate of int exp((tau - sigma) p) is finite.
 
     A full pass certifies the *hypotheses* only; the Hilbert-Schmidt
     conclusion for the solution operator is quoted from the theory, not
-    computed here.
+    computed here.  A typed failure of (d) is reported as a failed check;
+    any other exception raised by p propagates.
     """
     if not (0.0 < tau < sigma):
         raise ParameterDomainError(
             f"requires 0 < tau < sigma, got tau={tau!r}, sigma={sigma!r}")
     dim = weight.dimension
     dirs = _probe_directions(dim)
-    radii = weight.sample_radii
     checks = []
 
     # (a) conjugate finite at probe points
     try:
-        probes = [0.5 * d for d in dirs]
-        vals = [conjugate_transform(weight, pr, grid=grid) for pr in probes]
+        vals = [conjugate_transform(weight, pr, grid=grid) for pr in 0.5 * dirs]
         finite = all(math.isfinite(v) for v in vals)
         detail = ("p* at probe points: "
                   + ", ".join(f"{v:.6g}" for v in vals))
@@ -249,45 +245,34 @@ def check_hilbert_schmidt_hypotheses(weight: PshWeight, tau: float, sigma: float
     except InconclusiveSupremumError as exc:
         checks.append(HypothesisCheck("conjugate_finite", False, str(exc)))
 
+    # p on the rays r d: rows are radii, columns directions
+    rays = SAMPLE_RADII[:, None, None] * dirs[None, :, :]
+    p_rays = weight.evaluate(rays)
+
     # (b) superlinear growth: p/|z| increasing, final value above threshold
     slack = 1e-9
-    grow_ok = True
-    final_min = math.inf
-    for d in dirs:
-        vals = [weight.evaluate(r * d) / r for r in radii]
-        if any(b < a - slack * max(1.0, abs(a)) for a, b in zip(vals, vals[1:])):
-            grow_ok = False
-        final_min = min(final_min, vals[-1])
-    grow_ok = grow_ok and final_min >= growth_threshold
+    g = p_rays / SAMPLE_RADII[:, None]
+    final_min = float(g[-1].min())
+    grow_ok = (not np.any(g[1:] < g[:-1] - slack * np.maximum(1.0, np.abs(g[:-1])))
+               and final_min >= GROWTH_THRESHOLD)
     checks.append(HypothesisCheck(
         "superlinear_growth", grow_ok,
         f"p/|z| at largest radius >= {final_min:.6g} "
-        f"(threshold {growth_threshold:g}); consistent with p/|z| -> inf"
+        f"(threshold {GROWTH_THRESHOLD:g}); consistent with p/|z| -> inf"
         if grow_ok else
         f"p/|z| fails to increase to the threshold (last value {final_min:.6g})"))
 
-    # (c) p~/p -> 1 along the radii
-    ratio_ok = True
+    # (c) p~/p -> 1 along the radii, for a weight positive on the rays
+    ratio_ok = bool(np.all(p_rays > 0.0))
     last_dev = 0.0
-    for d in dirs:
-        devs = []
-        for r in radii:
-            z = r * d
-            base = weight.evaluate(z)
-            if base <= 0.0:
-                ratio_ok = False
-                break
-            devs.append(abs(sup_shift(weight, z, grid=grid) / base - 1.0))
-        else:
-            if any(b > a + slack for a, b in zip(devs, devs[1:])):
-                ratio_ok = False
-            last_dev = max(last_dev, devs[-1])
-            continue
-        break
-    ratio_ok = ratio_ok and last_dev <= ratio_tol
+    if ratio_ok:
+        shifted = [sup_shift(weight, z, grid=grid) for z in rays.reshape(-1, dim)]
+        devs = np.abs(np.reshape(shifted, p_rays.shape) / p_rays - 1.0)
+        last_dev = float(devs[-1].max())
+        ratio_ok = not np.any(devs[1:] > devs[:-1] + slack) and last_dev <= RATIO_TOL
     checks.append(HypothesisCheck(
         "shift_ratio_to_one", ratio_ok,
-        f"|p~/p - 1| = {last_dev:.3e} at radius {radii[-1]:g}; "
+        f"|p~/p - 1| = {last_dev:.3e} at radius {SAMPLE_RADII[-1]:g}; "
         "consistent with the limit 1" if ratio_ok else
         "p~/p does not settle to 1 over the sampled radii"))
 
@@ -297,12 +282,9 @@ def check_hilbert_schmidt_hypotheses(weight: PshWeight, tau: float, sigma: float
         estimates = []
         for d in dirs:
             def radial(rs):
-                rs = np.asarray(rs, dtype=float)
-                out = np.empty_like(rs)
-                for i, r in enumerate(rs):
-                    out[i] = math.exp(diff * weight.evaluate(r * d)) \
-                        * r ** (2 * dim - 1)
-                return out
+                with np.errstate(over="ignore"):  # an inf raises in the quadrature
+                    return (np.exp(diff * weight.evaluate(rs[:, None] * d))
+                            * rs ** (2 * dim - 1))
 
             value, _ = unbounded_radial_quad(radial, rel_tol=1e-8, initial=16)
             estimates.append(2.0 * math.pi ** dim / math.factorial(dim - 1)
@@ -312,7 +294,7 @@ def check_hilbert_schmidt_hypotheses(weight: PshWeight, tau: float, sigma: float
             "integrability", finite,
             "radial estimate of int exp((tau-sigma)p): "
             + ", ".join(f"{v:.6g}" for v in estimates)))
-    except Exception as exc:  # quadrature failure means no finite estimate
+    except DbarKitError as exc:  # a typed failure means no finite estimate
         checks.append(HypothesisCheck("integrability", False, str(exc)))
 
     return HypothesisReport(tau=float(tau), sigma=float(sigma),

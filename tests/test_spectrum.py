@@ -179,8 +179,6 @@ class TestClassification:
             classify(disc0, tail_len=5)
         with pytest.raises(ParameterDomainError):
             classify(disc0, tail_start=0)
-        with pytest.raises(ParameterDomainError):
-            classify(disc0, eps_zero=-1.0)
 
 
 class TestDiagnostics:

@@ -1,9 +1,12 @@
 """Conjugate transform, shifted supremum and the hypothesis checker."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dbarkit.errors import InconclusiveSupremumError, ParameterDomainError
+from dbarkit.errors import DbarKitError, InconclusiveSupremumError, ParameterDomainError
 from dbarkit.weights_nd import (
     PshWeight,
     check_hilbert_schmidt_hypotheses,
@@ -113,9 +116,11 @@ class TestPshWeight:
         with pytest.raises(ParameterDomainError):
             PshWeight(4, lambda z: 0.0)
 
-    def test_radii_must_increase(self):
-        with pytest.raises(ParameterDomainError):
-            PshWeight(1, lambda z: 0.0, sample_radii=(2.0, 1.0))
+    def test_shape_contract(self):
+        pw = quadratic()
+        assert isinstance(pw.evaluate([1.0 + 1.0j]), float)
+        assert pw.evaluate([[1.0], [2.0], [3.0]]).shape == (3,)
+        assert pw.evaluate(np.ones((4, 5, 1))).shape == (4, 5)
 
 
 class TestHypothesisChecker:
@@ -143,3 +148,86 @@ class TestHypothesisChecker:
         report = check_hilbert_schmidt_hypotheses(quadratic(), 1.0, 2.0)
         detail = report.check("integrability").detail
         assert "3.14159" in detail
+
+    def test_nonfinite_weight_fails_integrability_only(self):
+        # the quadrature samples p out to |z| of about 2.7e3, the other
+        # checks only to 1025; ParameterDomainError is typed, so reported
+        def p(z):
+            inside = np.linalg.norm(z, axis=-1) < 2e3
+            return np.where(inside, np.sum(np.abs(z) ** 2, axis=-1), np.inf)
+
+        report = check_hilbert_schmidt_hypotheses(PshWeight(1, p), 1.0, 2.0)
+        assert [c.passed for c in report.checks] == [True, True, True, False]
+        assert "non-finite" in report.check("integrability").detail
+
+    def test_weight_bug_propagates(self):
+        def p(z):
+            if np.linalg.norm(z) >= 2e3:
+                raise ValueError("weight bug")
+            return float(np.sum(np.abs(z) ** 2))
+
+        with pytest.raises(ValueError, match="weight bug") as info:
+            check_hilbert_schmidt_hypotheses(PshWeight(1, p), 1.0, 2.0)
+        assert not isinstance(info.value, DbarKitError)
+
+
+def _batches(dim):
+    coords = st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                allow_infinity=False)
+    return st.lists(st.lists(coords, min_size=dim, max_size=dim),
+                    min_size=1, max_size=20).map(lambda rows: np.array(rows, dtype=complex))
+
+
+def _scalar_cube(z):
+    # math.fsum of an array row raises TypeError, so a batch falls back per point
+    return math.fsum(abs(c) ** 3 for c in z)
+
+
+class TestProperties:
+    @settings(derandomize=True, deadline=1000, max_examples=60)
+    @given(data=st.data(), dim=st.integers(1, 3))
+    def test_evaluate_matches_points(self, data, dim):
+        pts = data.draw(_batches(dim))
+        for p in (_scalar_cube, lambda z: np.sum(np.abs(z) ** 3, axis=-1)):
+            pw = PshWeight(dim, p)
+            got = pw.evaluate(pts)
+            assert got.shape == (len(pts),)
+            want = [pw.evaluate(pt) for pt in pts]
+            assert all(isinstance(v, float) for v in want)
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, [p(pt) for pt in pts])
+
+    @settings(derandomize=True, deadline=1000, max_examples=60)
+    @given(data=st.data(), dim=st.integers(1, 3),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_nonfinite_weight_raises(self, data, dim, bad):
+        pts = data.draw(_batches(dim))
+        k = data.draw(st.integers(0, len(pts) - 1))
+
+        def batched(z):
+            return np.where(np.all(z == pts[k], axis=-1), bad,
+                            np.sum(np.abs(z) ** 2, axis=-1))
+
+        def scalar(z):
+            return bad if np.all(z == pts[k]) else float(np.sum(np.abs(z) ** 2))
+
+        for p in (batched, scalar):
+            with pytest.raises(ParameterDomainError):
+                PshWeight(dim, p).evaluate(pts)
+
+    # tolerances as documented for the bench checks, scaled by a: two zoom
+    # rounds of /8 leave a final spacing h of one 64th of the coarse cell
+    @settings(derandomize=True, deadline=1000, max_examples=40)
+    @given(a=st.floats(0.25, 4.0), w=st.complex_numbers(max_magnitude=4.0))
+    def test_conjugate_of_scaled_square(self, a, w):
+        pw = PshWeight(1, lambda z: a * np.sum(np.abs(z) ** 2, axis=-1))
+        h = 16.0 * (1.0 + abs(w)) / 63.0 / 64.0
+        assert abs(conjugate_transform(pw, [w]) - abs(w) ** 2 / (4.0 * a)) <= a * h * h
+
+    @settings(derandomize=True, deadline=1000, max_examples=40)
+    @given(a=st.floats(0.25, 4.0), z=st.complex_numbers(max_magnitude=8.0))
+    def test_shift_of_scaled_square(self, a, z):
+        pw = PshWeight(1, lambda z: a * np.sum(np.abs(z) ** 2, axis=-1))
+        h = 2.0 / 63.0 / 64.0
+        want = a * (abs(z) + 1.0) ** 2
+        assert abs(sup_shift(pw, [z]) - want) <= a * (abs(z) + 1.0) * h * h * 4.0
