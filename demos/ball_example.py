@@ -38,7 +38,7 @@ def main():
     for N in (25, 50, 100, 200, 400):
         print(f"  N = {N:>4}: {ball_hs_partial_sum(alpha, N):>12.4f}")
 
-    print("\nkernel: multi-index series vs (a+1)(a+2)/pi^2 (1 - <z,w>)^-(a+3):")
+    print("\nkernel: 1-D series in <z,w> vs (a+1)(a+2)/pi^2 (1 - <z,w>)^-(a+3):")
     z = (0.3 + 0.2j, -0.4j)
     w = (0.1 - 0.5j, 0.3 + 0.3j)
     for a in (0.0, 1.0, 2.5):

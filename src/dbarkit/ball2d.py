@@ -12,10 +12,13 @@ and the double sum of the two directions over n1, n2 >= 1 diverges: in two
 variables the operator fails to be Hilbert-Schmidt for every alpha >= 0,
 in contrast with the one-variable disc.
 
-The kernel prefactor deserves a note: matching the series expansion at
-z = w = 0 forces K(0,0) = 1/c_{0,0}^2 = (alpha+1)(alpha+2)/pi^2, and for
-alpha = 0 the classical ball kernel 2/pi^2 (1 - <z,w>)^{-3} confirms it, so
-:func:`ball_kernel_closed` carries the prefactor (alpha+1)(alpha+2)/pi^2.
+The kernel sum_nu z^nu wbar^nu / c_nu^2 is a 1-D series: the moments obey
+1/c_{n1,n2}^2 = binom(n1+n2, n1) / c_{n1+n2,0}^2, so the binomial theorem
+sums each diagonal n1 + n2 = sigma to t^sigma / c_{sigma,0}^2 with
+t = <z, w> = z1 wbar1 + z2 wbar2.  Its prefactor deserves a note: matching
+the series at z = w = 0 forces K(0,0) = 1/c_{0,0}^2 = (alpha+1)(alpha+2)/pi^2,
+and for alpha = 0 the classical ball kernel 2/pi^2 (1 - <z,w>)^{-3} confirms
+it, so :func:`ball_kernel_closed` carries the prefactor (alpha+1)(alpha+2)/pi^2.
 """
 
 import math
@@ -32,8 +35,7 @@ from .errors import (
     float_or_array,
 )
 from .quadrature import adaptive_quad
-from .special import (LOG_PI, _log_series_terms, _series_value, log_factorial,
-                      log_gamma_ratio)
+from .special import LOG_PI, _kernel_series, log_factorial, log_gamma_ratio
 
 _LOG_PI2 = 2.0 * LOG_PI
 
@@ -149,14 +151,12 @@ def ball_hs_partial_sum(alpha: float, N: int) -> float:
 
 
 def ball_kernel_series(alpha: float, z, w, rel_tol: float = 1e-10) -> complex:
-    """Kernel sum over multi-indices: sum z^nu wbar^nu / c_nu^2.
-
-    Summed explicitly over the diagonals n1 + n2 = sigma, of magnitude
-    u^sigma / c_{sigma,0}^2 with u = |z1 wbar1| + |z2 wbar2|, until their
-    tail is below 1e-18 of the largest.  ``rel_tol`` and the typed errors
-    are those of :func:`kernel_eval`; every multi-index counts against the
-    term budget, which runs out from about u = 0.95 on.  Requires both
-    points strictly inside the unit ball of C^2.
+    """Kernel sum over multi-indices, sum z^nu wbar^nu / c_nu^2, summed as
+    the 1-D series sum_sigma t^sigma / c_{sigma,0}^2 in t = z1 wbar1 + z2 wbar2:
+    by the binomial theorem, since 1/c_{n1,n2}^2 = binom(sigma, n1) /
+    c_{sigma,0}^2 on each diagonal n1 + n2 = sigma.  ``rel_tol``, the term
+    budget and the typed errors are those of :func:`kernel_eval`.  Requires
+    both points strictly inside the unit ball of C^2.
     """
     alpha = _check_alpha(alpha)
     check_rel_tol(rel_tol)
@@ -165,28 +165,13 @@ def ball_kernel_series(alpha: float, z, w, rel_tol: float = 1e-10) -> complex:
     if not (math.hypot(abs(z1), abs(z2)) < 1.0 and math.hypot(abs(w1), abs(w2)) < 1.0):
         raise ConvergenceDomainError(
             "ball kernel series requires both points strictly inside the ball")
-    q1 = z1 * w1.conjugate()
-    q2 = z2 * w2.conjugate()
-    u = abs(q1) + abs(q2)
-    logs = _log_series_terms(ball_moment_log(alpha, 0, 0),
-                             lambda s: ball_log_ratio(alpha, s, 0), u,
-                             diagonal=True)
-    # 1/c_{n1,n2}^2 = binom(sigma, n1) / c_{sigma,0}^2, so diagonal sigma is
-    # exp(logs[sigma]) times sum_{n1} binom(sigma, n1) a1^n1 a2^n2, a = q / u
-    n = np.arange(len(logs))
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(n[1:]))))
 
-    def exponents(q):
-        # ln(a^n / n!), where a^0 = 1 also for a zero q
-        log_a = np.log(q / u) if q else -np.inf
-        with np.errstate(invalid="ignore"):
-            return np.where(n > 0, n * log_a, 0.0) - log_fact
+    def log_ratio(s):
+        return ball_log_ratio(alpha, s, 0)
 
-    e1, e2 = exponents(q1), exponents(q2)
-    sigma, n1 = np.tril_indices(len(logs))
-    terms = np.exp(log_fact[sigma] + e1[n1] + e2[sigma - n1])
-    units = np.bincount(sigma, terms.real) + 1j * np.bincount(sigma, terms.imag)
-    return _series_value(logs, units, rel_tol, "ball kernel")
+    return _kernel_series(ball_moment_log(alpha, 0, 0), log_ratio,
+                          z1 * w1.conjugate() + z2 * w2.conjugate(), rel_tol,
+                          "ball kernel", closed_form=log_ratio)
 
 
 def ball_kernel_closed(alpha: float, z, w) -> complex:

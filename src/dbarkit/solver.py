@@ -16,7 +16,6 @@ and every formula acts coefficientwise, so desk-scale verification loses
 nothing; genuinely infinite expansions are out of scope.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ from .errors import (
     check_index,
     check_rel_tol,
 )
-from .special import _log_series_terms, _series_value
+from .special import _kernel_series, _log_series_terms
 from .spectrum import eigenvalue
 from .weights import MomentSequence, _radial_quad
 
@@ -122,11 +121,9 @@ def kernel_eval(moments: MomentSequence, z: complex, w: complex,
         raise ConvergenceDomainError(
             f"kernel series needs |z| < {radius!r} and |w| < {radius!r}, "
             f"got |z|={abs(z)!r}, |w|={abs(w)!r}")
-    q = z * w.conjugate()
-    logs = _log_series_terms(moments.log_moment(0), moments.log_ratio, abs(q),
-                             closed_form=moments.weight.log_ratio)
-    units = np.exp(1j * cmath.phase(q) * np.arange(len(logs)))
-    return _series_value(logs, units, rel_tol, "kernel")
+    return _kernel_series(moments.log_moment(0), moments.log_ratio,
+                          z * w.conjugate(), rel_tol, "kernel",
+                          closed_form=moments.weight.log_ratio)
 
 
 def project_dilated(f: HolomorphicCoeffs, rho: float,

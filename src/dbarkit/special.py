@@ -19,6 +19,7 @@ masked loop of at most 20 steps.  The kernel series of the solver and of
 the C^2 ball are summed here from their log terms.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -169,7 +170,7 @@ _LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 def _log_series_terms(log_c0: float, log_ratio, x: float,
-                      diagonal: bool = False, closed_form=None) -> np.ndarray:
+                      closed_form=None) -> np.ndarray:
     """ln(x^k / c_k) for k = 0 .. cutoff, the log terms of sum_k x^k / c_k
     with x >= 0 and log-convex c_k, ln(c_{k+1} / c_k) = ``log_ratio(k)`` on
     an index array.
@@ -178,24 +179,19 @@ def _log_series_terms(log_c0: float, log_ratio, x: float,
     tail after term k is at most term_k g / (1 - g); the cutoff is the first k
     where that is below 1e-18 of the largest term.  The log ratios are taken
     in index blocks of doubling length, and each block's terms are their
-    running sum in ascending k.  Term k counts 1 against the term budget, or
-    k + 1 when it stands for a ``diagonal`` of k + 1 multi-indices.  Raises
-    :class:`UnrepresentableError` when a term overflows a double and
-    :class:`SeriesTruncationError` when the budget runs out first.  Given
-    ``closed_form``, the same log ratio for one index, the latter is raised
-    after the first block when g >= 1 at the last index the budget allows,
-    since no cutoff can fall within it (an overflow later in the budget is
-    then not reached).
+    running sum in ascending k.  Raises :class:`UnrepresentableError` when a
+    term overflows a double and :class:`SeriesTruncationError` when the term
+    budget runs out first.  Given ``closed_form``, the same log ratio for one
+    index, the latter is raised after the first block when g >= 1 at the
+    last index the budget allows, since no cutoff can fall within it (an
+    overflow later in the budget is then not reached).
     """
-    # the most terms, or diagonals, whose multi-indices fit in the budget
-    most = ((math.isqrt(8 * _SERIES_TERM_BUDGET + 1) - 1) // 2 if diagonal
-            else _SERIES_TERM_BUDGET)
     log_x = math.log(x) if x > 0.0 else -math.inf
     logs = [np.array([-log_c0])]
     log_max = -log_c0
     done, block = 1, 64
-    while done < most:
-        k = np.arange(done - 1, min(done - 1 + block, most - 1))
+    while done < _SERIES_TERM_BUDGET:
+        k = np.arange(done - 1, min(done - 1 + block, _SERIES_TERM_BUDGET - 1))
         step = log_x - log_ratio(k)                         # ln g_k
         run = np.cumsum(np.concatenate((logs[-1][-1:], step)))  # from term k[0]
         cut = len(k)  # the cutoff's place in the block, if it falls there
@@ -215,7 +211,7 @@ def _log_series_terms(log_c0: float, log_ratio, x: float,
         if cut < len(k):
             return np.concatenate(logs)
         if done == 1 and closed_form is not None and \
-                log_x >= closed_form(most - 2):
+                log_x >= closed_form(_SERIES_TERM_BUDGET - 2):
             break
         log_max = max(log_max, new.max())
         done += len(k)
@@ -225,13 +221,16 @@ def _log_series_terms(log_c0: float, log_ratio, x: float,
         f"{_SERIES_TERM_BUDGET} terms (|x| = {x!r})")
 
 
-def _series_value(log_mags, units, rel_tol: float, what: str) -> complex:
-    """sum_k exp(log_mags[k]) units[k] with |units[k]| <= 1, or
-    :class:`UnrepresentableError` when A = sum_k exp(log_mags[k]) leaves the
-    normal double range or the rounding error eps * A exceeds ``rel_tol``
-    times the sum."""
-    shift = float(np.max(log_mags))
-    mags = np.exp(np.asarray(log_mags) - shift)
+def _kernel_series(log_c0: float, log_ratio, q: complex, rel_tol: float,
+                   what: str, closed_form=None) -> complex:
+    """sum_k q^k / c_k, its log terms from :func:`_log_series_terms` at
+    x = |q|, or :class:`UnrepresentableError` when A = sum_k |q|^k / c_k
+    leaves the normal double range or the rounding error eps * A exceeds
+    ``rel_tol`` times the sum."""
+    logs = _log_series_terms(log_c0, log_ratio, abs(q), closed_form=closed_form)
+    units = np.exp(1j * cmath.phase(q) * np.arange(len(logs)))
+    shift = float(np.max(logs))
+    mags = np.exp(logs - shift)
     size = float(mags.sum())
     if not (_LOG_TINY <= shift and shift + math.log(size) <= LOG_DBL_MAX):
         raise UnrepresentableError(

@@ -49,7 +49,9 @@ class PshWeight:
     ``p`` receives one point as a complex ndarray of shape (dimension,) and
     must return a finite float.  It may *additionally* accept a batch of
     shape (N, dimension) and return shape (N,); :meth:`evaluate` tries the
-    batch first, so such weights run orders of magnitude faster.
+    batch first, so such weights run orders of magnitude faster.  A batch of
+    exactly ``dimension`` points goes point by point: there a scalar-only p,
+    indexing rows for coordinates, would answer in the batch's shape too.
     """
 
     dimension: int
@@ -66,6 +68,8 @@ class PshWeight:
         z = np.asarray(z, dtype=complex)
         pts = z.reshape(-1, self.dimension)
         try:
+            if len(pts) == self.dimension:
+                raise ValueError
             vals = np.asarray(self.p(pts), dtype=float)
             if vals.shape != (len(pts),):
                 raise ValueError

@@ -22,6 +22,8 @@ from dbarkit.errors import (
     SeriesTruncationError,
     UnrepresentableError,
 )
+from dbarkit.solver import kernel_eval
+from dbarkit.weights import DiscPolynomial, MomentSequence
 
 PI2 = math.pi ** 2
 
@@ -150,20 +152,48 @@ class TestKernel:
             ball_kernel_series(0.0, (0.8, 0.7), (0.1, 0.0))
 
     def test_ill_conditioned_point_is_typed(self):
-        # q1 = -q2 = 0.45: the terms sum to (1/0.1)^7 = 1e7 times |K|,
-        # so their rounding error exceeds the default rel_tol 1e-10
+        # q1 = -q2 = 0.45 gives t = 0, where K is the center value
         x = math.sqrt(0.45)
+        got = ball_kernel_series(4.0, (x, x), (x, -x))
+        assert got == pytest.approx(5.0 * 6.0 / PI2, rel=1e-13)
+        # t = -0.9: the terms sum to (1.9/0.1)^7, about 9e8 times |K|, so
+        # their rounding error exceeds the default rel_tol 1e-10
+        y = math.sqrt(0.9)
+        t0 = time.perf_counter()
         with pytest.raises(UnrepresentableError):
-            ball_kernel_series(4.0, (x, x), (x, -x))
+            ball_kernel_series(4.0, (0.0, y), (0.0, -y))
+        assert time.perf_counter() - t0 < 1.0
 
     def test_term_budget_is_typed_and_fast(self):
-        # |q1| + |q2| = 0.98 needs 4.0e6 multi-indices and 0.999 about
-        # 1.8e9, both past the 10^6 budget, which counts every multi-index
+        # t = 0 and t = 0.9995^2, about 4e4 terms, have values
         for z, w in (((0.7, 0.7), (0.7, -0.7)), ((0.9995, 0.0), (0.9995, 0.0))):
             t0 = time.perf_counter()
-            with pytest.raises(SeriesTruncationError):
-                ball_kernel_series(1.0, z, w)
+            got = ball_kernel_series(1.0, z, w)
+            assert got == pytest.approx(ball_kernel_closed(1.0, z, w), rel=1e-12)
             assert time.perf_counter() - t0 < 1.0
+        # t = 0.999999^2 needs more than the 10^6 terms of the budget, which
+        # the closed-form log ratio tells after the first block
+        t0 = time.perf_counter()
+        with pytest.raises(SeriesTruncationError):
+            ball_kernel_series(1.0, (0.999999, 0.0), (0.999999, 0.0))
+        assert time.perf_counter() - t0 < 0.1
+
+    def test_reduces_to_the_disc_kernel(self):
+        # 1/c_{sigma,0}^2 = (alpha+1)/pi / c_sigma^2 for the disc weight
+        # (1-|z|^2)^(alpha+1), so K_ball(z, w) = (alpha+1)/pi K_disc(t) with
+        # t = <z, w>, taken here at the disc points t/sqrt|t| and sqrt|t|
+        rng = np.random.default_rng(10)
+        worst = 0.0
+        for _ in range(100):
+            alpha = rng.uniform(0.0, 10.0)
+            z, w = 0.7 * np.sqrt(rng.uniform(size=(2, 2))) * np.exp(
+                2j * np.pi * rng.uniform(size=(2, 2)))
+            t = complex(np.vdot(w, z))
+            got = ball_kernel_series(alpha, z, w)
+            r = math.sqrt(abs(t))
+            disc = kernel_eval(MomentSequence(DiscPolynomial(alpha + 1.0)), t / r, r)
+            worst = max(worst, abs(got - (alpha + 1.0) / math.pi * disc) / abs(got))
+        assert worst <= 3e-11
 
 
 class TestQuadratureOracle:

@@ -122,6 +122,12 @@ class TestPshWeight:
         assert pw.evaluate([[1.0], [2.0], [3.0]]).shape == (3,)
         assert pw.evaluate(np.ones((4, 5, 1))).shape == (4, 5)
 
+    def test_batch_of_dimension_points_is_per_point(self):
+        # given the (2, 2) batch, this p would read its rows as coordinates
+        # and answer [10, 20] in the batch's shape
+        pw = PshWeight(2, lambda z: abs(z[0]) ** 2 + abs(z[1]) ** 2)
+        assert np.array_equal(pw.evaluate([[1, 2], [3, 4]]), [5.0, 25.0])
+
 
 class TestHypothesisChecker:
     def test_quadratic_passes_all(self):
