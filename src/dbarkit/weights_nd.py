@@ -17,21 +17,23 @@ The asymptotic checks read p once on the rays r d, r in ``SAMPLE_RADII`` and
 d in a few unit directions, and judge it against the fixed thresholds
 ``GROWTH_THRESHOLD`` and ``RATIO_TOL``.
 
-Suprema are computed by a coarse grid over a ball plus local zoom rounds.
-The grid has ``grid`` points per real dimension, so the cost is
-grid^(2 dimension); dimensions above 3 are rejected outright and even
-dimension 2 wants a much smaller ``grid`` than the 1-D default of 64.
+Suprema are computed by a coarse grid plus local zoom rounds, with ``grid``
+points per real dimension of a ball for p*, grid^(2 dimension) points, and per
+angle of the sphere |zeta| = 1 for p~, grid^(2 dimension - 1) points.
+Dimensions above 3 are rejected outright and even dimension 2 wants a much
+smaller ``grid`` than the 1-D default of 64.
 """
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from .errors import (DbarKitError, InconclusiveSupremumError, ParameterDomainError,
                      float_or_array)
-from .quadrature import unbounded_radial_quad
+from .weights import _radial_quad
 
 #: Increasing radii 1, 2, 4, ..., 1024 along which the asymptotic checks sample p.
 SAMPLE_RADII = 2.0 ** np.arange(11)
@@ -76,7 +78,10 @@ class PshWeight:
         except ParameterDomainError:
             raise
         except Exception:
-            vals = np.array([float(self.p(pt)) for pt in pts])
+            vals = np.array([self.p(pt) for pt in pts], dtype=float)
+            if vals.shape != (len(pts),):
+                raise ParameterDomainError(f"p must return a float for one point, "
+                                           f"not shape {vals.shape[1:]}") from None
         bad = ~np.isfinite(vals)
         if bad.any():
             raise ParameterDomainError(
@@ -84,32 +89,46 @@ class PshWeight:
         return float_or_array(vals.reshape(z.shape[:-1]))
 
 
-def _check_grid(grid: int, dim: int) -> None:
+def _check_grid(grid: int, axes: int) -> None:
     if grid < 4:
         raise ParameterDomainError(f"grid must be at least 4, got {grid!r}")
-    if grid ** (2 * dim) > _MAX_GRID_POINTS:
+    if grid ** axes > _MAX_GRID_POINTS:
         raise ParameterDomainError(
-            f"grid={grid} in dimension {dim} means {grid ** (2 * dim)} points; "
+            f"grid={grid} on {axes} axes means {grid ** axes} points; "
             "pass a smaller grid")
 
 
-def _axis_grid(center: np.ndarray, halfwidth: float, grid: int, dim: int):
-    """Cartesian product grid of complex points around ``center``."""
-    axes = [np.linspace(-halfwidth, halfwidth, grid)] * (2 * dim)
+def _axis_grid(center: np.ndarray, halfwidth: float, grid: int, frame: np.ndarray):
+    """Complex product grid around ``center`` along the rows of ``frame``."""
+    axes = [np.linspace(-halfwidth, halfwidth, grid)] * len(frame)
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)  # (N, 2 dim) real
+    pts = np.stack([m.ravel() for m in mesh], axis=-1) @ frame  # (N, 2 dim) real
     zs = pts[:, 0::2] + 1j * pts[:, 1::2]
     return zs + center[None, :]
 
 
-def _refine(fun, center, cell, dim, rounds, clamp=None) -> float:
+def _sphere_grid(grid: int, dim: int) -> np.ndarray:
+    """grid^(2 dim - 1) distinct points of the unit sphere of C^dim: dim phases
+    in [0, 2 pi), dim - 1 Hopf angles at cell midpoints, so no modulus is 0."""
+    mesh = [m.ravel() for m in np.meshgrid(
+        *[(np.arange(grid) + 0.5) * (0.5 * math.pi / grid)] * (dim - 1),
+        *[np.arange(grid) * (2.0 * math.pi / grid)] * dim, indexing="ij")]
+    moduli = np.ones((len(mesh[0]), dim))
+    for k, eta in enumerate(mesh[:dim - 1]):
+        moduli[:, k] *= np.cos(eta)
+        moduli[:, k + 1:] *= np.sin(eta)[:, None]
+    return moduli * np.exp(1j * np.stack(mesh[dim - 1:], axis=-1))
+
+
+def _refine(fun, center, cell, rounds, frame, clamp=None) -> float:
+    """Zoom on grids of 17 points along each row of ``frame(best point)``."""
     # np.argmax takes the first maximizer, i.e. the lexicographically
     # smallest grid index, so ties break deterministically
     best_pt = center
     best_val = float(fun(center[None, :])[0])
     width = cell
     for _ in range(rounds):
-        pts = _axis_grid(best_pt, width, 17, dim)
+        pts = _axis_grid(best_pt, width, 17, frame(best_pt))
         if clamp is not None:
             pts = clamp(pts)
         vals = fun(pts)
@@ -135,12 +154,13 @@ def conjugate_transform(weight: PshWeight, w, search_radius: float | None = None
         search_radius = 8.0 * (1.0 + float(np.linalg.norm(wv)))
     if not search_radius > 0.0:
         raise ParameterDomainError(f"search_radius must be positive, got {search_radius!r}")
-    _check_grid(grid, dim)
+    _check_grid(grid, 2 * dim)
 
     def supremand(pts) -> np.ndarray:
         return np.real(pts @ np.conj(wv)) - weight.evaluate(pts)
 
-    pts = _axis_grid(np.zeros(dim, dtype=complex), search_radius, grid, dim)
+    identity = np.eye(2 * dim)
+    pts = _axis_grid(np.zeros(dim, dtype=complex), search_radius, grid, identity)
     norms = np.linalg.norm(pts, axis=1)
     inside = norms <= search_radius
     pts = pts[inside]
@@ -151,30 +171,33 @@ def conjugate_transform(weight: PshWeight, w, search_radius: float | None = None
         raise InconclusiveSupremumError(
             f"supremand peaks within one cell of |z| = {search_radius}; "
             "enlarge search_radius")
-    return _refine(supremand, pts[idx], cell, dim, refine_rounds)
+    return _refine(supremand, pts[idx], cell, refine_rounds, lambda pt: identity)
 
 
-def sup_shift(weight: PshWeight, z, grid: int = 64, refine_rounds: int = 2) -> float:
+def sup_shift(weight: PshWeight, z, grid: int = 64, refine_rounds: int = 4) -> float:
     """Numerical p~(z) = sup of p over the closed unit ball around z.
 
-    Grid points outside the ball are projected radially onto the sphere, so
-    boundary maxima (the generic case for growing weights) are reachable.
+    Only the sphere |zeta| = 1 is searched, ``grid`` points per Hopf angle and
+    zoom rounds in its tangent space.  A psh p is subharmonic on complex lines,
+    so its maximum lies on the sphere and the result is p~(z) up to the grid
+    resolution; for any other p it is a lower bound of p~(z).
     """
     dim = weight.dimension
     zv = np.asarray(z, dtype=complex).reshape(dim)
-    _check_grid(grid, dim)
+    _check_grid(grid, 2 * dim - 1)
 
-    def project(pts):
+    def tangent_frame(pt):  # rows 2, 3, ... of V^T span the real complement of u
+        u = pt - zv
+        return np.linalg.svd(np.stack([u.real, u.imag], axis=-1).reshape(1, -1))[2][1:]
+
+    def onto_sphere(pts):
         offs = pts - zv[None, :]
-        norms = np.linalg.norm(offs, axis=1)
-        scale = np.where(norms > 1.0, 1.0 / np.maximum(norms, 1e-300), 1.0)
-        return zv[None, :] + offs * scale[:, None]
+        return zv[None, :] + offs / np.linalg.norm(offs, axis=1, keepdims=True)
 
-    pts = project(_axis_grid(zv, 1.0, grid, dim))
+    pts = zv[None, :] + _sphere_grid(grid, dim)
     idx = int(np.argmax(weight.evaluate(pts)))
-    cell = 2.0 / (grid - 1)
-    return _refine(weight.evaluate, pts[idx], cell, dim, refine_rounds,
-                   clamp=project)
+    return _refine(weight.evaluate, pts[idx], 2.0 * math.pi / grid, refine_rounds,
+                   tangent_frame, clamp=onto_sphere)
 
 
 @dataclass(frozen=True)
@@ -280,19 +303,16 @@ def check_hilbert_schmidt_hypotheses(weight: PshWeight, tau: float, sigma: float
         "consistent with the limit 1" if ratio_ok else
         "p~/p does not settle to 1 over the sampled radii"))
 
-    # (d) integrability of exp((tau - sigma) p)
-    diff = tau - sigma
+    # (d) integrability of exp((tau - sigma) p) along each ray, tail probe included
     try:
         estimates = []
         for d in dirs:
-            def radial(rs):
-                with np.errstate(over="ignore"):  # an inf raises in the quadrature
-                    return (np.exp(diff * weight.evaluate(rs[:, None] * d))
-                            * rs ** (2 * dim - 1))
-
-            value, _ = unbounded_radial_quad(radial, rel_tol=1e-8, initial=16)
-            estimates.append(2.0 * math.pi ** dim / math.factorial(dim - 1)
-                             * float(np.real(value)))
+            ray = SimpleNamespace(
+                support_radius=math.inf,
+                log_density=lambda r, d=d: (tau - sigma) * weight.evaluate(
+                    np.multiply.outer(r, d)))
+            value = _radial_quad(ray, 1e-8, None, power=2 * dim - 1)
+            estimates.append(math.pi ** (dim - 1) / math.factorial(dim - 1) * value)
         finite = all(math.isfinite(v) for v in estimates)
         checks.append(HypothesisCheck(
             "integrability", finite,

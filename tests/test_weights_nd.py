@@ -1,6 +1,7 @@
 """Conjugate transform, shifted supremum and the hypothesis checker."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +22,15 @@ def quadratic():
 
 def quartic():
     return PshWeight(1, lambda z: float(np.sum(np.abs(z) ** 4)))
+
+
+def radial_power(dim, power):
+    """p = |z|^power as a batched weight."""
+    return PshWeight(dim, lambda z: np.sum(np.abs(z) ** 2, axis=-1) ** (power / 2))
+
+
+#: final spacing of the benchmark's sup_shift check, whose bound is (|z|+1) 4 h^2
+SHIFT_H = 2.0 / 63.0 / 64.0
 
 
 class TestConjugateTransform:
@@ -110,6 +120,54 @@ class TestSupShift:
         for z in (0.3, 1.0, 2.0 + 1.0j):
             assert sup_shift(pw, [z]) >= pw.evaluate([z])
 
+    # p = phi(|z|) with phi increasing and convex has p~(z) = phi(|z| + 1); the
+    # benchmark's bound is scaled by phi'(s) / (2 s) at s = |z| + 1
+    @pytest.mark.parametrize("dim,grid", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("power", [2, 4])
+    def test_radial_closed_form(self, dim, grid, power):
+        rng = np.random.default_rng(10 * dim + power)
+        pw = radial_power(dim, power)
+        for _ in range(10):
+            z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            z *= 1024.0 * rng.uniform() / np.linalg.norm(z)
+            s = np.linalg.norm(z) + 1.0
+            bound = s * 4.0 * SHIFT_H ** 2 * (power / 2) * s ** (power - 2)
+            assert abs(sup_shift(pw, z, grid=grid) - s ** power) <= bound
+
+    def test_radial_closed_form_dimension_3(self):
+        z = np.array([3.0, 1.0j, -2.0 + 1.0j])
+        s = np.linalg.norm(z) + 1.0
+        got = sup_shift(radial_power(3, 2), z, grid=4)
+        assert abs(got - s ** 2) <= s * 4.0 * SHIFT_H ** 2
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_lower_bound_for_non_psh_weight(self, dim):
+        # p = -|z|^2 peaks inside the ball when |z| < 1, where
+        # p~(z) = -max(|z| - 1, 0)^2; the sphere search sees -(|z| - 1)^2
+        pw = PshWeight(dim, lambda z: -np.sum(np.abs(z) ** 2, axis=-1))
+        for r in (0.0, 0.5, 0.9, 2.0, 5.0):
+            z = np.full(dim, r / math.sqrt(dim), dtype=complex)
+            got = sup_shift(pw, z, grid=16)
+            assert got <= -max(r - 1.0, 0.0) ** 2 + 1e-12
+            assert got == pytest.approx(-(r - 1.0) ** 2, abs=(r + 1.0) * 4.0 * SHIFT_H ** 2)
+
+    @pytest.mark.parametrize("dim,grid,points", [
+        (1, 64, 64 + 1 + 4 * 17),              # coarse circle, center, 4 zooms
+        (2, 16, 16 ** 3 + 1 + 4 * 17 ** 3)])   # grid^3 Hopf angles, 17^3 per zoom
+    def test_points_per_call(self, dim, grid, points):
+        seen = []
+
+        def p(z):
+            seen.append(len(z))
+            return np.sum(np.abs(z) ** 2, axis=-1)
+
+        sup_shift(PshWeight(dim, p), np.full(dim, 2.0 + 1.0j), grid=grid)
+        assert sum(seen) == points
+
+    def test_grid_cost_guard(self):
+        with pytest.raises(ParameterDomainError):
+            sup_shift(radial_power(3, 2), [0.0, 0.0, 0.0], grid=32)
+
 
 class TestPshWeight:
     def test_dimension_guard(self):
@@ -121,6 +179,13 @@ class TestPshWeight:
         assert isinstance(pw.evaluate([1.0 + 1.0j]), float)
         assert pw.evaluate([[1.0], [2.0], [3.0]]).shape == (3,)
         assert pw.evaluate(np.ones((4, 5, 1))).shape == (4, 5)
+
+    def test_array_for_one_point_is_typed(self):
+        # answers a batch, but a one-element array for one point
+        pw = PshWeight(1, lambda z: np.sum(np.abs(np.atleast_2d(z)) ** 2, axis=-1))
+        assert np.array_equal(pw.evaluate([[1.0], [2.0], [3.0]]), [1.0, 4.0, 9.0])
+        with pytest.raises(ParameterDomainError, match="one point"):
+            pw.evaluate([0.5])
 
     def test_batch_of_dimension_points_is_per_point(self):
         # given the (2, 2) batch, this p would read its rows as coordinates
@@ -155,9 +220,29 @@ class TestHypothesisChecker:
         detail = report.check("integrability").detail
         assert "3.14159" in detail
 
+    @pytest.mark.parametrize("dim,grid", [(1, 64), (2, 16)])
+    def test_integrability_estimates_are_gaussian_integral(self, dim, grid):
+        report = check_hilbert_schmidt_hypotheses(radial_power(dim, 2), 1.0, 2.0, grid=grid)
+        detail = report.check("integrability").detail
+        values = [float(v) for v in detail.split(":", 1)[1].split(",")]
+        assert len(values) == dim + 1
+        assert all(abs(v - math.pi ** dim) <= 1e-5 for v in values)
+
+    def test_divergent_tail_fails_integrability(self):
+        # int exp(-p) diverges, but exp(-p) underflows long before |z| = 3e3:
+        # only the tail probe at |z| = 1e6 and 1e8 sees p turn negative
+        def p(z):
+            r = np.linalg.norm(z, axis=-1)
+            return np.where(r < 3e3, r * r, -r)
+
+        start = time.perf_counter()
+        report = check_hilbert_schmidt_hypotheses(PshWeight(1, p), 1.0, 2.0)
+        assert time.perf_counter() - start < 1.0
+        assert [c.passed for c in report.checks] == [True, True, True, False]
+
     def test_nonfinite_weight_fails_integrability_only(self):
-        # the quadrature samples p out to |z| of about 2.7e3, the other
-        # checks only to 1025; ParameterDomainError is typed, so reported
+        # the tail probe samples p at |z| = 1e6 and 1e8, the other checks only
+        # to 1025; ParameterDomainError is typed, so reported
         def p(z):
             inside = np.linalg.norm(z, axis=-1) < 2e3
             return np.where(inside, np.sum(np.abs(z) ** 2, axis=-1), np.inf)
@@ -222,7 +307,7 @@ class TestProperties:
                 PshWeight(dim, p).evaluate(pts)
 
     # tolerances as documented for the bench checks, scaled by a: two zoom
-    # rounds of /8 leave a final spacing h of one 64th of the coarse cell
+    # rounds of /8 leave p* a final spacing h of one 64th of the coarse cell
     @settings(derandomize=True, deadline=1000, max_examples=40)
     @given(a=st.floats(0.25, 4.0), w=st.complex_numbers(max_magnitude=4.0))
     def test_conjugate_of_scaled_square(self, a, w):
@@ -234,6 +319,5 @@ class TestProperties:
     @given(a=st.floats(0.25, 4.0), z=st.complex_numbers(max_magnitude=8.0))
     def test_shift_of_scaled_square(self, a, z):
         pw = PshWeight(1, lambda z: a * np.sum(np.abs(z) ** 2, axis=-1))
-        h = 2.0 / 63.0 / 64.0
         want = a * (abs(z) + 1.0) ** 2
-        assert abs(sup_shift(pw, [z]) - want) <= a * (abs(z) + 1.0) * h * h * 4.0
+        assert abs(sup_shift(pw, [z]) - want) <= a * (abs(z) + 1.0) * SHIFT_H ** 2 * 4.0
