@@ -31,6 +31,7 @@ from .errors import (
     DivergenceError,
     ParameterDomainError,
     check_index,
+    check_point,
     check_rel_tol,
     float_or_array,
 )
@@ -160,8 +161,7 @@ def ball_kernel_series(alpha: float, z, w, rel_tol: float = 1e-10) -> complex:
     """
     alpha = _check_alpha(alpha)
     check_rel_tol(rel_tol)
-    z1, z2 = complex(z[0]), complex(z[1])
-    w1, w2 = complex(w[0]), complex(w[1])
+    (z1, z2), (w1, w2) = check_point(z, 2).tolist(), check_point(w, 2).tolist()
     if not (math.hypot(abs(z1), abs(z2)) < 1.0 and math.hypot(abs(w1), abs(w2)) < 1.0):
         raise ConvergenceDomainError(
             "ball kernel series requires both points strictly inside the ball")
@@ -181,8 +181,7 @@ def ball_kernel_closed(alpha: float, z, w) -> complex:
     module docstring.
     """
     alpha = _check_alpha(alpha)
-    z1, z2 = complex(z[0]), complex(z[1])
-    w1, w2 = complex(w[0]), complex(w[1])
+    (z1, z2), (w1, w2) = check_point(z, 2).tolist(), check_point(w, 2).tolist()
     t = z1 * w1.conjugate() + z2 * w2.conjugate()
     pref = (alpha + 1.0) * (alpha + 2.0) / math.pi ** 2
     return pref * (1.0 - t) ** (-(alpha + 3.0))

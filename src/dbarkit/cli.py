@@ -22,7 +22,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -65,7 +65,7 @@ class InputError(DbarKitError):
 class RunConfig:
     command: str
     weight: str | None = None
-    n_max: int = 50
+    n_max: int | None = None
     fmt: str = "csv"
     out: str | None = None
     seed: int = DEFAULT_SEED
@@ -189,12 +189,9 @@ def rows_to_csv(rows, footer=None) -> str:
     return columns_to_csv(_columns(rows), footer)
 
 
-def columns_to_json(config: RunConfig, columns: dict, verdict=None) -> str:
-    """The JSON envelope of a command: its config, the table given as named
-    columns of equal length, and the verdict if there is one."""
-    body = {"command": config.command, "config": config.as_dict(), "rows": []}
-    if verdict is not None:
-        body["verdict"] = verdict
+def columns_to_json(body: dict, columns: dict) -> str:
+    """The JSON envelope ``body``, its ``"rows": []`` filled with the table
+    given as named columns of equal length."""
     text = json.dumps(body, indent=2) + "\n"
     keys = (json.dumps(k).replace("%", "%%") for k in columns)
     row = "    {\n" + ",\n".join(f"      {k}: %s" for k in keys) + "\n    }"
@@ -203,9 +200,12 @@ def columns_to_json(config: RunConfig, columns: dict, verdict=None) -> str:
 
 
 def _emit(config: RunConfig, columns: dict, verdict=None, footer=None) -> int:
-    """Write the table in the configured format and destination."""
+    """Write the table, and in JSON the config and verdict, as configured."""
     if config.fmt == "json":
-        text = columns_to_json(config, columns, verdict=verdict)
+        body = {"command": config.command, "config": config.as_dict(), "rows": []}
+        if verdict is not None:
+            body["verdict"] = verdict
+        text = columns_to_json(body, columns)
     else:
         text = columns_to_csv(columns, footer=footer)
     if config.out is None:
@@ -239,26 +239,14 @@ def cmd_spectrum(config: RunConfig) -> int:
         # the surrogate starts at n = 1: its n = 0 cell is empty
         columns["stirling_surrogate"] = np.ma.masked_array(
             stirling_surrogate(weight.m, np.maximum(n, 1)), mask=n == 0)
-    verdict = None
-    footer = None
+    verdict = footer = None
     if diag.classification is not None:
         c = diag.classification
-        verdict = {
-            "verdict": c.verdict.value,
-            "tail_window": list(c.evidence.tail_window),
-            "lambda_tail_max": c.evidence.lambda_tail_max,
-            "lambda_tail_min": c.evidence.lambda_tail_min,
-            "ratio_tail": c.evidence.ratio_tail,
-            "ratio_drift": c.evidence.ratio_drift,
-            "decay_exponent": c.evidence.decay_exponent,
-        }
-        footer = ["classification", c.verdict.value,
-                  f"window={c.evidence.tail_window[0]}..{c.evidence.tail_window[1]}",
-                  f"lambda_tail_max={c.evidence.lambda_tail_max:.17g}",
-                  f"lambda_tail_min={c.evidence.lambda_tail_min:.17g}",
-                  f"ratio_tail={c.evidence.ratio_tail:.17g}",
-                  f"ratio_drift={c.evidence.ratio_drift:.17g}",
-                  f"decay_exponent={c.evidence.decay_exponent:.17g}"]
+        evidence = asdict(c.evidence)
+        lo, hi = evidence.pop("tail_window")
+        verdict = {"verdict": c.verdict.value, "tail_window": [lo, hi], **evidence}
+        footer = ["classification", c.verdict.value, f"window={lo}..{hi}",
+                  *(f"{k}={v:.17g}" for k, v in evidence.items())]
     return _emit(config, columns, verdict=verdict, footer=footer)
 
 
@@ -327,19 +315,14 @@ def cmd_reproduce(config: RunConfig) -> int:
         sys.stdout.write(res.summary() + "\n")
         if outdir is not None:
             if config.fmt == "json":
-                body = {"command": "reproduce", "criterion": res.cid,
-                        "title": res.title, "pass": res.passed,
-                        "failures": res.failures,
-                        "rows": [{k: _json_cell(v) for k, v in row.items()}
-                                 for row in res.rows]}
-                path = outdir / f"{res.cid}.json"
-                path.write_text(json.dumps(body, indent=2) + "\n",
-                                encoding="utf-8")
+                text = columns_to_json(
+                    {"command": "reproduce", "criterion": res.cid, "title": res.title,
+                     "pass": res.passed, "failures": res.failures, "rows": []},
+                    _columns(res.rows))
             else:
                 footer = ["result", "PASS" if res.passed else "FAIL"]
-                path = outdir / f"{res.cid}.csv"
-                path.write_text(rows_to_csv(res.rows, footer=footer),
-                                encoding="utf-8")
+                text = rows_to_csv(res.rows, footer=footer)
+            (outdir / f"{res.cid}.{config.fmt}").write_text(text, encoding="utf-8")
     sys.stdout.write(("all criteria PASS" if all_passed
                       else "some criteria FAILED") + "\n")
     return EXIT_OK if all_passed else EXIT_ACCEPTANCE
@@ -385,16 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        weight=getattr(args, "weight", None),
-        n_max=getattr(args, "n_max", 50),
-        fmt=args.fmt,
-        out=args.out,
-        seed=args.seed,
-        only=getattr(args, "only", None),
-        coeffs=getattr(args, "coeffs", None),
-    )
+    config = RunConfig(**vars(args))
     handlers = {"moments": cmd_moments, "spectrum": cmd_spectrum,
                 "solve": cmd_solve, "reproduce": cmd_reproduce}
     try:

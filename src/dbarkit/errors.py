@@ -26,6 +26,19 @@ def check_index(n, name: str, lo: int = 0):
     raise ParameterDomainError(f"{name} must be an integer >= {lo}, got {n!r}")
 
 
+def check_point(z, dim: int) -> np.ndarray:
+    """``z`` as a complex ndarray of shape (dim,), or :class:`ParameterDomainError`
+    unless it holds exactly ``dim`` finite coordinates."""
+    try:
+        pt = np.asarray(z, dtype=complex).reshape(dim)
+        if np.isfinite(pt).all():
+            return pt
+    except (TypeError, ValueError):
+        pass
+    raise ParameterDomainError(
+        f"a point of C^{dim} needs {dim} finite coordinates, got {z!r}")
+
+
 def float_or_array(a):
     """``a`` as a Python float when it is 0-d, else as an ndarray."""
     a = np.asarray(a)

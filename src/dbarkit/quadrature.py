@@ -7,9 +7,7 @@ and weights come from ``numpy.polynomial.legendre.leggauss``, so there are no
 tabulated constants to mistype.
 
 Integrands must be vectorized (ndarray in, ndarray of the same shape out) and
-may be complex valued.  Integrals over [0, inf) go through the substitution
-r = t/(1-t) on [0, 1 - 1e-12], which folds the tail into the ordinary error
-estimate instead of hiding it behind a truncation radius.
+may be complex valued.
 """
 
 import heapq
@@ -20,10 +18,6 @@ from .errors import DivergenceError, QuadratureError
 
 _NODES7, _WEIGHTS7 = np.polynomial.legendre.leggauss(7)
 _NODES15, _WEIGHTS15 = np.polynomial.legendre.leggauss(15)
-
-#: Upper end of the transformed interval for integrals over [0, inf);
-#: corresponds to a radius of about 1e12.
-UNBOUNDED_CLAMP = 1.0 - 1e-12
 
 
 def _panel(f, a: float, b: float):
@@ -104,23 +98,3 @@ def adaptive_quad(f, a: float, b: float, rel_tol: float = 1e-10,
 
     value = total if total.imag != 0.0 else total.real
     return value, total_err
-
-
-def unbounded_radial_quad(f, rel_tol: float = 1e-10, max_panels: int = 10 ** 6,
-                          initial: int = 8, points=None):
-    """Integrate ``f`` over [0, inf) via the substitution r = t/(1-t).
-
-    ``points`` are breakpoints in the r variable.  ``f`` must return exact
-    zeros deep in its tail (guard the density factor first) so that the
-    transformed integrand never produces inf * 0.
-    """
-    def g(t):
-        om = 1.0 - t
-        r = t / om
-        return f(r) / (om * om)
-
-    tpoints = None
-    if points is not None:
-        tpoints = [r / (1.0 + r) for r in points if r > 0.0]
-    return adaptive_quad(g, 0.0, UNBOUNDED_CLAMP, rel_tol=rel_tol,
-                         max_panels=max_panels, initial=initial, points=tpoints)

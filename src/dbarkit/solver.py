@@ -239,8 +239,8 @@ def defect_norm_quadrature(f: HolomorphicCoeffs, rho: float,
         return np.mean(diff.real ** 2 + diff.imag ** 2, axis=1)
 
     peak = weight.peak_radius(max(f.degree, 0) + 1)
-    value = _radial_quad(weight, rel_tol, [0.5 * peak, peak, 2.0 * peak],
-                         fn=angular_mean)
+    value = _radial_quad(weight.log_density, weight.support_radius, rel_tol,
+                         [0.5 * peak, peak, 2.0 * peak], fn=angular_mean)
     return float(np.real(value))
 
 
@@ -279,5 +279,5 @@ def reproduce_check(moments: MomentSequence, f: HolomorphicCoeffs, z: complex,
 
     guess = max(weight.peak_radius(max(f.degree, 0) + 1), absz, 1.0)
     return complex(_radial_quad(
-        weight, 0.2 * rel_tol, [0.5 * guess, guess, 2.0 * guess, 4.0 * guess],
-        fn=angular_mean))
+        weight.log_density, weight.support_radius, 0.2 * rel_tol,
+        [0.5 * guess, guess, 2.0 * guess, 4.0 * guess], fn=angular_mean))

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import (DivergenceError, ParameterDomainError, check_index,
                      check_rel_tol, checked_exp, float_or_array)
-from .quadrature import UNBOUNDED_CLAMP, adaptive_quad, unbounded_radial_quad
+from .quadrature import adaptive_quad
 from .special import (
     LOG_2PI,
     LOG_PI,
@@ -235,28 +235,29 @@ class CustomRadial:
 WeightSpec = Union[DiscPolynomial, FockExponential, CustomRadial]
 
 
-# radii of the tail probe, and the radius where r = t/(1-t) stops
+# radii of the tail probe, the end of t in the fold r = t/(1-t), and its radius
 _PROBE_RADII = np.array([1e6, 1e8])
-_CLAMP_RADIUS = UNBOUNDED_CLAMP / (1.0 - UNBOUNDED_CLAMP)
+_CLAMP = 1.0 - 1e-12
+_CLAMP_RADIUS = _CLAMP / (1.0 - _CLAMP)
 
 
-def _radial_quad(weight, rel_tol, points, power=1, fn=None):
-    """2 pi * integral over the support of r^power density(r) fn(r) dr, by
-    adaptive quadrature to rel_tol / 4 from the breakpoints ``points``.
+def _radial_quad(log_density, radius, rel_tol, points, power=1, fn=None):
+    """2 pi * integral over [0, radius] of r^power exp(log_density(r)) fn(r) dr,
+    by adaptive quadrature to rel_tol / 4 from the breakpoints ``points``.
 
     ``fn`` (angular means, say) is only called where the density has not
     underflowed, so it cannot produce inf * 0; without it the integrand is
-    exp(ln 2 pi + power ln r + log_density(r)).  An unbounded support is
-    folded onto [0, 1) by r = t/(1-t), which stops at r ~ 1e12, and ln(r f(r))
-    of the integrand f is probed at r = 1e6 and 1e8 first: if r f(r) has not
-    begun to decay by 1e8, or its power-law tail past the clamp exceeds
-    ``rel_tol`` of the value, :class:`DivergenceError` is raised.
+    exp(ln 2 pi + power ln r + log_density(r)).  It owns the fold of an
+    infinite ``radius`` onto [0, 1) by r = t/(1-t), which stops at r ~ 1e12,
+    and ln(r f(r)) of the integrand f is probed at r = 1e6 and 1e8 first: if
+    r f(r) has not begun to decay by 1e8, or its power-law tail past the
+    clamp exceeds ``rel_tol`` of the value, :class:`DivergenceError` is raised.
     """
     def log_f(r):  # r > 0, without fn
-        return LOG_2PI + power * np.log(r) + weight.log_density(r)
+        return LOG_2PI + power * np.log(r) + log_density(r)
 
     def density_and_fn(r):  # fn is left 0 where the density underflowed
-        dens = np.exp(weight.log_density(r))
+        dens = np.exp(log_density(r))
         vals = np.zeros(dens.shape, dtype=complex)
         live = dens > 0.0
         if live.any():
@@ -271,19 +272,21 @@ def _radial_quad(weight, rel_tol, points, power=1, fn=None):
 
     def integrate(tol):
         with np.errstate(over="ignore"):  # an inf raises in the quadrature
-            if math.isinf(weight.support_radius):
-                value = unbounded_radial_quad(integrand, rel_tol=tol, points=points)[0]
-            else:
-                value = adaptive_quad(integrand, 0.0, weight.support_radius,
-                                      rel_tol=tol, points=points)[0]
+            value = adaptive_quad(f, 0.0, upper, rel_tol=tol, points=points)[0]
         log_value = math.log(abs(value)) if value else -math.inf
         if log_tail > math.log(rel_tol) + log_value:
             raise DivergenceError(
                 f"its tail past r = {_CLAMP_RADIUS:.0e} exceeds rel_tol of the value")
         return value
 
-    log_tail = -math.inf
-    if math.isinf(weight.support_radius):
+    f, upper, log_tail = integrand, radius, -math.inf
+    if math.isinf(radius):
+        def f(t):  # the fold r = t/(1-t)
+            om = 1.0 - t
+            return integrand(t / om) / (om * om)
+
+        upper, points = _CLAMP, points and [r / (1.0 + r) for r in points if r > 0.0]
+
         log_probe = log_f(_PROBE_RADII) + np.log(_PROBE_RADII)
         if fn is not None:
             with np.errstate(divide="ignore"):
@@ -317,7 +320,7 @@ def moment_quadrature(weight: WeightSpec, n, rel_tol: float = 1e-10) -> float:
     peak = weight.peak_radius(n)
     try:
         value = float(_radial_quad(
-            weight, rel_tol,
+            weight.log_density, weight.support_radius, rel_tol,
             [0.25 * peak, 0.5 * peak, peak, 2.0 * peak, 4.0 * peak], power=2 * n + 1))
     except DivergenceError as exc:
         raise DivergenceError(f"moment of order {n} diverges: {exc}",

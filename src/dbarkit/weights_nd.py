@@ -19,20 +19,20 @@ d in a few unit directions, and judge it against the fixed thresholds
 
 Suprema are computed by a coarse grid plus local zoom rounds, with ``grid``
 points per real dimension of a ball for p*, grid^(2 dimension) points, and per
-angle of the sphere |zeta| = 1 for p~, grid^(2 dimension - 1) points.
-Dimensions above 3 are rejected outright and even dimension 2 wants a much
-smaller ``grid`` than the 1-D default of 64.
+angle of the sphere |zeta| = 1 for p~, grid^(2 dimension - 1) points, and a
+zoom round has 17 points per axis.  Dimensions above 3 are rejected outright,
+dimension 3 supports ``sup_shift`` only (a zoom round of p* would take 17^6
+points), and dimension 2 wants a much smaller ``grid`` than the default 64.
 """
 
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
 from .errors import (DbarKitError, InconclusiveSupremumError, ParameterDomainError,
-                     float_or_array)
+                     check_index, check_point, float_or_array)
 from .weights import _radial_quad
 
 #: Increasing radii 1, 2, 4, ..., 1024 along which the asymptotic checks sample p.
@@ -42,6 +42,7 @@ GROWTH_THRESHOLD = 10.0
 #: |p~/p - 1| at the largest sample radius must be within this.
 RATIO_TOL = 1e-2
 _MAX_GRID_POINTS = 2_000_000
+_ZOOM = 17  # points per axis of a zoom round
 
 
 @dataclass(frozen=True)
@@ -75,8 +76,6 @@ class PshWeight:
             vals = np.asarray(self.p(pts), dtype=float)
             if vals.shape != (len(pts),):
                 raise ValueError
-        except ParameterDomainError:
-            raise
         except Exception:
             vals = np.array([self.p(pt) for pt in pts], dtype=float)
             if vals.shape != (len(pts),):
@@ -89,13 +88,12 @@ class PshWeight:
         return float_or_array(vals.reshape(z.shape[:-1]))
 
 
-def _check_grid(grid: int, axes: int) -> None:
-    if grid < 4:
-        raise ParameterDomainError(f"grid must be at least 4, got {grid!r}")
-    if grid ** axes > _MAX_GRID_POINTS:
-        raise ParameterDomainError(
-            f"grid={grid} on {axes} axes means {grid ** axes} points; "
-            "pass a smaller grid")
+def _check_grid(grid: int, rounds: int, axes: int) -> None:
+    check_index(grid, "grid", lo=4)
+    side = max(grid, _ZOOM if check_index(rounds, "refine_rounds") else 0)
+    if side ** axes > _MAX_GRID_POINTS:
+        raise ParameterDomainError(f"grid={grid} and {_ZOOM}-point zoom rounds on {axes} "
+                                   f"axes mean {side ** axes} points, over {_MAX_GRID_POINTS}")
 
 
 def _axis_grid(center: np.ndarray, halfwidth: float, grid: int, frame: np.ndarray):
@@ -121,14 +119,14 @@ def _sphere_grid(grid: int, dim: int) -> np.ndarray:
 
 
 def _refine(fun, center, cell, rounds, frame, clamp=None) -> float:
-    """Zoom on grids of 17 points along each row of ``frame(best point)``."""
+    """Zoom on grids of ``_ZOOM`` points along each row of ``frame(best point)``."""
     # np.argmax takes the first maximizer, i.e. the lexicographically
     # smallest grid index, so ties break deterministically
     best_pt = center
     best_val = float(fun(center[None, :])[0])
     width = cell
     for _ in range(rounds):
-        pts = _axis_grid(best_pt, width, 17, frame(best_pt))
+        pts = _axis_grid(best_pt, width, _ZOOM, frame(best_pt))
         if clamp is not None:
             pts = clamp(pts)
         vals = fun(pts)
@@ -149,12 +147,12 @@ def conjugate_transform(weight: PshWeight, w, search_radius: float | None = None
     radius was too small to witness the supremum).
     """
     dim = weight.dimension
-    wv = np.asarray(w, dtype=complex).reshape(dim)
+    wv = check_point(w, dim)
     if search_radius is None:
         search_radius = 8.0 * (1.0 + float(np.linalg.norm(wv)))
     if not search_radius > 0.0:
         raise ParameterDomainError(f"search_radius must be positive, got {search_radius!r}")
-    _check_grid(grid, 2 * dim)
+    _check_grid(grid, refine_rounds, 2 * dim)
 
     def supremand(pts) -> np.ndarray:
         return np.real(pts @ np.conj(wv)) - weight.evaluate(pts)
@@ -183,8 +181,8 @@ def sup_shift(weight: PshWeight, z, grid: int = 64, refine_rounds: int = 4) -> f
     resolution; for any other p it is a lower bound of p~(z).
     """
     dim = weight.dimension
-    zv = np.asarray(z, dtype=complex).reshape(dim)
-    _check_grid(grid, 2 * dim - 1)
+    zv = check_point(z, dim)
+    _check_grid(grid, refine_rounds, 2 * dim - 1)
 
     def tangent_frame(pt):  # rows 2, 3, ... of V^T span the real complement of u
         u = pt - zv
@@ -307,11 +305,9 @@ def check_hilbert_schmidt_hypotheses(weight: PshWeight, tau: float, sigma: float
     try:
         estimates = []
         for d in dirs:
-            ray = SimpleNamespace(
-                support_radius=math.inf,
-                log_density=lambda r, d=d: (tau - sigma) * weight.evaluate(
-                    np.multiply.outer(r, d)))
-            value = _radial_quad(ray, 1e-8, None, power=2 * dim - 1)
+            value = _radial_quad(
+                lambda r, d=d: (tau - sigma) * weight.evaluate(np.multiply.outer(r, d)),
+                math.inf, 1e-8, None, power=2 * dim - 1)
             estimates.append(math.pi ** (dim - 1) / math.factorial(dim - 1) * value)
         finite = all(math.isfinite(v) for v in estimates)
         checks.append(HypothesisCheck(

@@ -151,6 +151,15 @@ class TestKernel:
         with pytest.raises(ConvergenceDomainError):
             ball_kernel_series(0.0, (0.8, 0.7), (0.1, 0.0))
 
+    @pytest.mark.parametrize("kernel", [ball_kernel_series, ball_kernel_closed])
+    @pytest.mark.parametrize("z,w", [
+        ([0.1], [0.1, 0.2]),             # one coordinate short
+        ([0.1, 0.2, 0.9], [0.1, 0.2]),   # one coordinate too many
+        ([0.1, math.nan], [0.1, 0.2])])
+    def test_malformed_point_is_typed(self, kernel, z, w):
+        with pytest.raises(ParameterDomainError, match="2 finite coordinates"):
+            kernel(1.0, z, w)
+
     def test_ill_conditioned_point_is_typed(self):
         # q1 = -q2 = 0.45 gives t = 0, where K is the center value
         x = math.sqrt(0.45)

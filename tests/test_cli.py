@@ -9,18 +9,25 @@ import numpy as np
 
 from dbarkit.cli import (RunConfig, _json_cell, columns_to_csv, columns_to_json,
                          main, parse_weight, render_from_log, rows_to_csv)
+from dbarkit.criteria import DEFAULT_SEED, run_criteria
 from dbarkit.errors import ParameterDomainError
 from dbarkit.spectrum import diagnostics, stirling_surrogate
 from dbarkit.weights import DiscPolynomial, FockExponential, MomentSequence
 
 
+def _body(config, verdict=None):
+    """The envelope a command writes, with its rows left empty."""
+    body = {"command": config.command, "config": config.as_dict(), "rows": []}
+    if verdict is not None:
+        body["verdict"] = verdict
+    return body
+
+
 def _envelope(config, rows, verdict=None):
     """The JSON envelope built row by row with json.dumps, the reference for
     the column writer."""
-    body = {"command": config.command, "config": config.as_dict(),
-            "rows": [{k: _json_cell(v) for k, v in row.items()} for row in rows]}
-    if verdict is not None:
-        body["verdict"] = verdict
+    body = _body(config, verdict)
+    body["rows"] = [{k: _json_cell(v) for k, v in row.items()} for row in rows]
     return json.dumps(body, indent=2) + "\n"
 
 
@@ -163,15 +170,15 @@ class TestColumnWriter:
         rows = [{"n": n, "lambda": float(v)} for n, v in enumerate(lam)]
         assert columns_to_csv(columns) == rows_to_csv(rows)
         config = RunConfig(command="spectrum")
-        assert columns_to_json(config, columns) == _envelope(config, rows)
+        assert columns_to_json(_body(config), columns) == _envelope(config, rows)
 
     def test_json_matches_rows(self):
         config = RunConfig(command="spectrum", weight="fock:m=3", n_max=5)
         verdict = {"verdict": "NonCompact", "tail_window": [2, 5]}
         for v in (None, verdict):
-            assert columns_to_json(config, self.columns(), v) == \
+            assert columns_to_json(_body(config, v), self.columns()) == \
                 _envelope(config, self.rows(), v)
-        assert columns_to_json(config, {}) == _envelope(config, [])
+        assert columns_to_json(_body(config), {}) == _envelope(config, [])
 
     @pytest.mark.parametrize("weight", ["fock:m=3", "fock:m=2", "disc:alpha=1"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -214,6 +221,15 @@ class TestSolve:
         bound = [l for l in lines if l.startswith("bound_constant")][0]
         assert float(bound.split(",")[4]) == pytest.approx(1.0, abs=1e-12)
 
+    def test_json_config_echoes_only_its_options(self, tmp_path, capsys):
+        # solve has no --n-max, so its config has no n_max
+        path = tmp_path / "f.json"
+        path.write_text("[[0, 0], [1, 0]]")
+        assert main(["solve", "--weight", "fock:m=2", "--format", "json", str(path)]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config == {"command": "solve", "format": "json", "seed": DEFAULT_SEED,
+                          "weight": "fock:m=2", "coeffs": str(path)}
+
     def test_malformed_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("[[1, 2], [3]]")
@@ -247,6 +263,17 @@ class TestReproduce:
         body = json.loads((tmp_path / "ball-divergence.json").read_text())
         assert body["pass"] is True
         assert body["criterion"] == "ball-divergence"
+
+    def test_json_artifacts_match_rows(self, tmp_path, capsys):
+        # every criterion's artifact is json.dumps of its row dicts
+        assert main(["reproduce", "--format", "json", "--out", str(tmp_path)]) == 0
+        for res in run_criteria():
+            body = {"command": "reproduce", "criterion": res.cid, "title": res.title,
+                    "pass": res.passed, "failures": res.failures,
+                    "rows": [{k: _json_cell(v) for k, v in row.items()}
+                             for row in res.rows]}
+            assert (tmp_path / f"{res.cid}.json").read_text() == \
+                json.dumps(body, indent=2) + "\n"
 
     def test_unknown_criterion_rejected(self):
         with pytest.raises(SystemExit) as info:

@@ -102,6 +102,14 @@ class TestConjugateTransform:
         with pytest.raises(ParameterDomainError):
             conjugate_transform(pw, [0.0, 0.0], grid=64)
 
+    def test_zoom_grid_cost_guard(self):
+        # in C^3 a coarse grid of 4^6 points passes, but each zoom round would
+        # take 17^6 = 24.1 M points: refused before any point is evaluated
+        t0 = time.perf_counter()
+        with pytest.raises(ParameterDomainError, match="24137569 points"):
+            conjugate_transform(radial_power(3, 2), [1.0, 0.0, 0.0], grid=4)
+        assert time.perf_counter() - t0 < 1.0
+
 
 class TestSupShift:
     def test_outward_shift(self):
@@ -167,6 +175,26 @@ class TestSupShift:
     def test_grid_cost_guard(self):
         with pytest.raises(ParameterDomainError):
             sup_shift(radial_power(3, 2), [0.0, 0.0, 0.0], grid=32)
+
+
+def _w1():
+    return radial_power(1, 2)
+
+
+# malformed grids, zoom rounds and points: each raises ParameterDomainError
+# naming what is wrong, not a raw TypeError or ValueError, or blames p
+@pytest.mark.parametrize("call,match", [
+    (lambda: conjugate_transform(_w1(), [1.0], grid=4.5), "grid must be an integer"),
+    (lambda: check_hilbert_schmidt_hypotheses(_w1(), 1, 2, grid=4.5),
+     "grid must be an integer"),
+    (lambda: sup_shift(_w1(), [1.0], grid=4.5), "grid must be an integer"),
+    (lambda: sup_shift(_w1(), [1.0], refine_rounds=1.5), "refine_rounds must be"),
+    (lambda: sup_shift(_w1(), [1.0, 2.0]), "1 finite coordinates"),
+    (lambda: sup_shift(_w1(), [math.nan]), "1 finite coordinates"),
+    (lambda: conjugate_transform(_w1(), [1.0, 2.0]), "1 finite coordinates")])
+def test_malformed_input_is_typed(call, match):
+    with pytest.raises(ParameterDomainError, match=match):
+        call()
 
 
 class TestPshWeight:
