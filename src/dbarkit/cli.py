@@ -265,9 +265,10 @@ def read_coefficients(path: str) -> HolomorphicCoeffs:
     coeffs = []
     for i, pair in enumerate(data):
         if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(x, (int, float)) for x in pair)):
+                or not all(isinstance(x, (int, float)) and math.isfinite(x)
+                           for x in pair)):
             raise InputError(
-                f"coefficient {i} must be a [re, im] number pair, got {pair!r}")
+                f"coefficient {i} must be a finite [re, im] number pair, got {pair!r}")
         coeffs.append(complex(pair[0], pair[1]))
     return HolomorphicCoeffs(coeffs)
 

@@ -1,10 +1,12 @@
 """Adaptive Gauss quadrature with an embedded error estimate.
 
 Each panel is integrated with 15-point and 7-point Gauss-Legendre rules; the
-absolute difference serves as the panel's error estimate and the worst panel
-is bisected until the summed estimate meets the requested tolerance.  Nodes
-and weights come from ``numpy.polynomial.legendre.leggauss``, so there are no
-tabulated constants to mistype.
+absolute difference serves as the panel's error estimate.  Subdivision starts
+from uniform cells and bisects the worst panel until the summed estimate
+meets the requested tolerance, within a budget of ``_MAX_PANELS`` panels;
+there are no breakpoints.  Nodes and weights come from
+``numpy.polynomial.legendre.leggauss``, so there are no tabulated constants
+to mistype.
 
 Integrands must be vectorized (ndarray in, ndarray of the same shape out) and
 may be complex valued.
@@ -18,6 +20,7 @@ from .errors import DivergenceError, QuadratureError
 
 _NODES7, _WEIGHTS7 = np.polynomial.legendre.leggauss(7)
 _NODES15, _WEIGHTS15 = np.polynomial.legendre.leggauss(15)
+_MAX_PANELS = 10 ** 6
 
 
 def _panel(f, a: float, b: float):
@@ -34,24 +37,17 @@ def _panel(f, a: float, b: float):
 
 
 def adaptive_quad(f, a: float, b: float, rel_tol: float = 1e-10,
-                  max_panels: int = 10 ** 6, initial: int = 8, points=None):
-    """Integrate a vectorized ``f`` over [a, b] adaptively.
+                  initial: int = 8):
+    """Integrate a vectorized ``f`` over [a, b] adaptively, starting from
+    ``initial`` uniform cells.
 
-    ``points`` may list interior breakpoints (peak locations and the like)
-    that seed the initial subdivision together with ``initial`` uniform cells,
-    so that narrow features cannot slip between the nodes of a single coarse
-    panel.  Returns ``(value, error_estimate)``; the value is complex when the
+    Returns ``(value, error_estimate)``; the value is complex when the
     integrand is.  Raises :class:`QuadratureError` when the subdivision budget
     is exhausted before the estimate reaches ``rel_tol * |value|``.
     """
     if b == a:
         return 0.0, 0.0
-    edges = {a, b}
-    if initial > 1:
-        edges.update(a + (b - a) * k / initial for k in range(1, initial))
-    if points is not None:
-        edges.update(p for p in points if a < p < b)
-    edges = sorted(edges)
+    edges = sorted({a, b, *(a + (b - a) * k / initial for k in range(1, initial))})
 
     heap = []
     done = []  # panels too narrow to split further
@@ -69,9 +65,9 @@ def adaptive_quad(f, a: float, b: float, rel_tol: float = 1e-10,
     while heap:
         if total_err <= rel_tol * abs(total):
             break
-        if n_panels >= max_panels:
+        if n_panels >= _MAX_PANELS:
             raise QuadratureError(
-                f"quadrature budget of {max_panels} panels exhausted "
+                f"quadrature budget of {_MAX_PANELS} panels exhausted "
                 f"(achieved error estimate {total_err:.3e})",
                 estimate=total_err, value=total)
         neg_err, _, lo, hi, val = heapq.heappop(heap)

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     ConvergenceDomainError,
     ParameterDomainError,
+    UnrepresentableError,
     check_index,
     check_rel_tol,
 )
@@ -40,6 +41,8 @@ class HolomorphicCoeffs:
 
     def __init__(self, coeffs=()):
         cs = [complex(c) for c in coeffs]
+        if not np.isfinite(cs).all():
+            raise ParameterDomainError("Taylor coefficients must be finite")
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -94,6 +97,8 @@ def apply_solution_operator(f: HolomorphicCoeffs,
     """
     h = [-f.coefficient(k) * moments.ratio(k - 1)
          for k in range(1, f.degree + 1)]
+    if not np.isfinite(h).all():
+        raise UnrepresentableError("a coefficient of S(f) overflows a double")
     return HybridFunction(conj_factor=f, holo_part=HolomorphicCoeffs(h))
 
 
@@ -136,6 +141,8 @@ def project_dilated(f: HolomorphicCoeffs, rho: float,
         raise ParameterDomainError(f"rho must lie in (0, 1), got {rho!r}")
     out = [f.coefficient(k) * moments.ratio(k - 1) * rho ** k
            for k in range(1, f.degree + 1)]
+    if not np.isfinite(out).all():
+        raise UnrepresentableError("a projected coefficient overflows a double")
     return HolomorphicCoeffs(out)
 
 
@@ -238,9 +245,8 @@ def defect_norm_quadrature(f: HolomorphicCoeffs, rho: float,
         diff = np.conjugate(w) * f(rho * w) - proj(w)
         return np.mean(diff.real ** 2 + diff.imag ** 2, axis=1)
 
-    peak = weight.peak_radius(max(f.degree, 0) + 1)
     value = _radial_quad(weight.log_density, weight.support_radius, rel_tol,
-                         [0.5 * peak, peak, 2.0 * peak], fn=angular_mean)
+                         fn=angular_mean)
     return float(np.real(value))
 
 
@@ -277,7 +283,5 @@ def reproduce_check(moments: MomentSequence, f: HolomorphicCoeffs, z: complex,
             v = v * u + c
         return np.mean(v * f(w), axis=1)
 
-    guess = max(weight.peak_radius(max(f.degree, 0) + 1), absz, 1.0)
-    return complex(_radial_quad(
-        weight.log_density, weight.support_radius, 0.2 * rel_tol,
-        [0.5 * guess, guess, 2.0 * guess, 4.0 * guess], fn=angular_mean))
+    return complex(_radial_quad(weight.log_density, weight.support_radius,
+                                0.2 * rel_tol, fn=angular_mean))

@@ -23,7 +23,6 @@ weight instead of testing which family it is:
   support, -inf where the density is 0; every radial quadrature is built on
   it (the disc's is also -inf past r = 1);
 * ``log_moment(n)`` -- ln c_n^2, in closed form or by quadrature;
-* ``peak_radius(n)`` -- where r^(2n+1) density(r) peaks, a quadrature breakpoint;
 * ``log_ratio(n)`` and ``eigenvalue(n)`` -- ln(c_{n+1}^2 / c_n^2) and lambda_n
   of S*S in closed form, or ``None`` where the cached moments supply them.
 
@@ -104,10 +103,6 @@ class DiscPolynomial:
         # two divisions rather than one product, which overflows for a > 1e154
         return (a + 1.0) / (n + a + 1.0) / (n + a + 2.0)
 
-    def peak_radius(self, n) -> float:
-        """sqrt((2n+1) / (2n+1+2 alpha))."""
-        return math.sqrt((2.0 * n + 1.0) / (2.0 * n + 1.0 + 2.0 * self.alpha))
-
 
 @dataclass(frozen=True)
 class FockExponential:
@@ -159,13 +154,6 @@ class FockExponential:
         r = np.exp(log_gamma_ratio(np.where(first, y, y - s), s))
         delta = log_gamma_second_difference(np.where(first, y + s, y), s)
         return float_or_array(np.where(first, r, r * np.expm1(delta)))
-
-    def peak_radius(self, n) -> float:
-        """((2n+1)/m)^(1/m), or inf past the double range."""
-        try:
-            return ((2.0 * n + 1.0) / self.m) ** (1.0 / self.m)
-        except OverflowError:
-            return math.inf
 
 
 @dataclass(frozen=True)
@@ -222,15 +210,6 @@ class CustomRadial:
         return float_or_array(np.vectorize(lambda k: moment_quadrature(self, k),
                                            otypes=[float])(n))
 
-    def peak_radius(self, n) -> float:
-        """((2n+1)/2)^(1/2), the peak of r^(2n+1) exp(-r^2).
-
-        A caller-supplied density has no known peak, so the Gaussian one
-        stands in.  It only places the breakpoints that seed a quadrature's
-        subdivision: a poor guess costs panels, not accuracy.
-        """
-        return ((2.0 * n + 1.0) / 2.0) ** 0.5
-
 
 WeightSpec = Union[DiscPolynomial, FockExponential, CustomRadial]
 
@@ -241,9 +220,10 @@ _CLAMP = 1.0 - 1e-12
 _CLAMP_RADIUS = _CLAMP / (1.0 - _CLAMP)
 
 
-def _radial_quad(log_density, radius, rel_tol, points, power=1, fn=None):
+def _radial_quad(log_density, radius, rel_tol, power=1, fn=None):
     """2 pi * integral over [0, radius] of r^power exp(log_density(r)) fn(r) dr,
-    by adaptive quadrature to rel_tol / 4 from the breakpoints ``points``.
+    by adaptive quadrature to rel_tol / 4 from 8 uniform cells in r, or in t
+    on the whole plane; there are no breakpoints.
 
     ``fn`` (angular means, say) is only called where the density has not
     underflowed, so it cannot produce inf * 0; without it the integrand is
@@ -272,7 +252,7 @@ def _radial_quad(log_density, radius, rel_tol, points, power=1, fn=None):
 
     def integrate(tol):
         with np.errstate(over="ignore"):  # an inf raises in the quadrature
-            value = adaptive_quad(f, 0.0, upper, rel_tol=tol, points=points)[0]
+            value = adaptive_quad(f, 0.0, upper, rel_tol=tol)[0]
         log_value = math.log(abs(value)) if value else -math.inf
         if log_tail > math.log(rel_tol) + log_value:
             raise DivergenceError(
@@ -285,7 +265,7 @@ def _radial_quad(log_density, radius, rel_tol, points, power=1, fn=None):
             om = 1.0 - t
             return integrand(t / om) / (om * om)
 
-        upper, points = _CLAMP, points and [r / (1.0 + r) for r in points if r > 0.0]
+        upper = _CLAMP
 
         log_probe = log_f(_PROBE_RADII) + np.log(_PROBE_RADII)
         if fn is not None:
@@ -317,11 +297,9 @@ def moment_quadrature(weight: WeightSpec, n, rel_tol: float = 1e-10) -> float:
     """
     n = check_index(n, "moment order")
     check_rel_tol(rel_tol)
-    peak = weight.peak_radius(n)
     try:
-        value = float(_radial_quad(
-            weight.log_density, weight.support_radius, rel_tol,
-            [0.25 * peak, 0.5 * peak, peak, 2.0 * peak, 4.0 * peak], power=2 * n + 1))
+        value = float(_radial_quad(weight.log_density, weight.support_radius,
+                                   rel_tol, power=2 * n + 1))
     except DivergenceError as exc:
         raise DivergenceError(f"moment of order {n} diverges: {exc}",
                               order=n) from exc

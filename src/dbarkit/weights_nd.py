@@ -150,8 +150,9 @@ def conjugate_transform(weight: PshWeight, w, search_radius: float | None = None
     wv = check_point(w, dim)
     if search_radius is None:
         search_radius = 8.0 * (1.0 + float(np.linalg.norm(wv)))
-    if not search_radius > 0.0:
-        raise ParameterDomainError(f"search_radius must be positive, got {search_radius!r}")
+    if not 0.0 < search_radius < math.inf:
+        raise ParameterDomainError(
+            f"search_radius must be positive and finite, got {search_radius!r}")
     _check_grid(grid, refine_rounds, 2 * dim)
 
     def supremand(pts) -> np.ndarray:
@@ -307,7 +308,7 @@ def check_hilbert_schmidt_hypotheses(weight: PshWeight, tau: float, sigma: float
         for d in dirs:
             value = _radial_quad(
                 lambda r, d=d: (tau - sigma) * weight.evaluate(np.multiply.outer(r, d)),
-                math.inf, 1e-8, None, power=2 * dim - 1)
+                math.inf, 1e-8, power=2 * dim - 1)
             estimates.append(math.pi ** (dim - 1) / math.factorial(dim - 1) * value)
         finite = all(math.isfinite(v) for v in estimates)
         checks.append(HypothesisCheck(

@@ -236,6 +236,14 @@ class TestSolve:
         assert main(["solve", "--weight", "fock:m=2", str(path)]) == 3
         assert "input error" in capsys.readouterr().err
 
+    def test_non_finite_coefficients(self, tmp_path, capsys):
+        # json reads NaN and Infinity as floats
+        path = tmp_path / "nan.json"
+        path.write_text("[[NaN, 0], [1, Infinity]]")
+        assert main(["solve", "--weight", "disc:alpha=1", str(path)]) == 3
+        out = capsys.readouterr()
+        assert "input error" in out.err and out.out == ""
+
     def test_missing_file(self, capsys):
         assert main(["solve", "--weight", "fock:m=2", "/nonexistent.json"]) == 3
 

@@ -1,12 +1,13 @@
 """Property tests: every kernel evaluation ends in a finite value or a
 typed error (the ball kernel's values match its closed form), the solver's
-defect norm stays within its bound constant, and every power-law moment ends
-in its value or a DivergenceError, within a time budget."""
+defect norm stays within its bound constant, every power-law moment ends in
+its value or a DivergenceError, and the moment oracle of the disc and Fock
+weights ends in the closed form or a typed error, within a time budget."""
 
 import math
 
 import mpmath as mp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dbarkit.ball2d import ball_kernel_series
 from dbarkit.errors import DbarKitError, DivergenceError
@@ -99,3 +100,26 @@ def test_power_law_moment_value_or_divergence(n, d):
     assert d > 0.0
     want = mp.log(2 * mp.pi * mp.beta(2 * n + 2, mp.mpf(p) - 2 * n - 2))
     assert abs(got - float(want)) <= 1e-9
+
+
+# the quadrature oracle against the closed forms, on the whole plane and up
+# to order 1e5 on the disc.  Fock orders whose integrand has not decayed by
+# r = 1e8 raise.  The examples put much of the mass in a narrow band (near
+# r = 1 for the disc, far out for small m) that a coarse cell can hide from
+# every Gauss node
+@settings(derandomize=True, deadline=2000, max_examples=150)
+@given(case=st.one_of(
+    st.tuples(st.floats(0.3, 8.0).map(FockExponential), st.integers(0, 60)),
+    st.tuples(st.floats(0.0, 10.0).map(DiscPolynomial), st.integers(0, 100000))))
+@example(case=(DiscPolynomial(1.0), 100000))
+@example(case=(FockExponential(0.3), 5))
+@example(case=(FockExponential(0.3), 10))
+@example(case=(FockExponential(0.4), 10))
+@example(case=(FockExponential(0.5), 17))
+def test_moment_quadrature_matches_closed_form(case):
+    weight, n = case
+    try:
+        got = moment_quadrature(weight, n)
+    except DbarKitError:
+        return
+    assert abs(got - weight.log_moment(n)) <= 1e-9

@@ -79,6 +79,11 @@ class TestHolomorphicCoeffs:
         vals = f(np.array([0.0, 1.0, 1.0j]))
         assert vals == pytest.approx(np.array([1.0, 2.0, 0.0]))
 
+    @pytest.mark.parametrize("coeffs", [[math.nan, 1.0], [1.0, complex(0.0, math.inf)]])
+    def test_non_finite_coefficients(self, coeffs):
+        with pytest.raises(ParameterDomainError, match="finite"):
+            HolomorphicCoeffs(coeffs)
+
 
 class TestApply:
     def test_constant_input(self, fock2):
@@ -105,6 +110,12 @@ class TestApply:
             F = apply_solution_operator(f, fock4)
             assert F.conj_factor.coeffs == f.coeffs  # exact, not approx
             assert F.dbar.coeffs == f.coeffs
+
+    def test_overflowing_coefficient_is_typed(self, fock2):
+        # a_2 c_2^2 / c_1^2 = 2e308 leaves the double range: an overflow,
+        # not a bad input
+        with pytest.raises(UnrepresentableError):
+            apply_solution_operator(HolomorphicCoeffs([1e308] * 3), fock2)
 
 
 class TestKernel:
@@ -241,6 +252,10 @@ class TestProjectDilated:
         for rho in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ParameterDomainError):
                 project_dilated(f, rho, disc0)
+
+    def test_overflowing_coefficient_is_typed(self, fock2):
+        with pytest.raises(UnrepresentableError):
+            project_dilated(HolomorphicCoeffs([1e308] * 3), 0.9, fock2)
 
 
 class TestDefectNorm:

@@ -97,6 +97,11 @@ class TestConjugateTransform:
         with pytest.raises(InconclusiveSupremumError):
             conjugate_transform(pw, [2.0], search_radius=5.0)
 
+    @pytest.mark.parametrize("radius", [math.inf, math.nan, 0.0])
+    def test_search_radius_domain(self, radius):
+        with pytest.raises(ParameterDomainError, match="search_radius"):
+            conjugate_transform(quadratic(), [1.0], search_radius=radius)
+
     def test_grid_cost_guard(self):
         pw = PshWeight(2, lambda z: float(np.sum(np.abs(z) ** 2)))
         with pytest.raises(ParameterDomainError):
