@@ -196,15 +196,16 @@ def ball_moment_quadrature(alpha: float, n1, n2, rel_tol: float = 1e-10) -> floa
 
     and s1 = s2 t, which turns the inner integral into s2^(n1+alpha+1) times
     int_0^1 (1-t)^n1 t^alpha dt, so the double integral is a product of two
-    1-D integrals, each to a quarter of ``rel_tol``.
+    1-D integrals, taken as two components of one adaptive pass, each to a
+    quarter of ``rel_tol``.
     """
     alpha, n1, n2 = _check_cell(alpha, n1, n2)
     check_rel_tol(rel_tol)
-    value = math.pi ** 2
-    for power, exponent in ((n1, alpha), (n2, n1 + alpha + 1.0)):
-        factor, _ = adaptive_quad(lambda t: (1.0 - t) ** power * t ** exponent,
-                                  0.0, 1.0, rel_tol=0.25 * rel_tol, initial=4)
-        value *= float(np.real(factor))
+    power = np.array([[n1], [n2]])
+    exponent = np.array([[alpha], [n1 + alpha + 1.0]])
+    factors, _ = adaptive_quad(lambda t: (1.0 - t) ** power * t ** exponent,
+                               0.0, 1.0, rel_tol=0.25 * rel_tol, initial=4)
+    value = math.pi ** 2 * float(factors[0]) * float(factors[1])
     if not (math.isfinite(value) and value > 0.0):
         raise DivergenceError(
             f"ball moment ({n1},{n2}) is not finite positive (got {value!r})")

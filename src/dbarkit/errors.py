@@ -11,6 +11,8 @@ LOG_DBL_MAX = math.log(np.finfo(float).max)
 class DbarKitError(Exception):
     """Base class for all toolkit-specific failures."""
 
+    order: int | None = None  # the moment order a failure concerns, if any
+
 
 class ParameterDomainError(DbarKitError, ValueError):
     """A parameter lies outside its mathematical domain (alpha < 0, m <= 0, ...)."""
@@ -53,10 +55,7 @@ def check_rel_tol(rel_tol: float) -> None:
 
 
 class DivergenceError(DbarKitError, ArithmeticError):
-    """A moment integral diverges, or the integrand produced non-finite values.
-
-    ``order`` names the offending moment order when known.
-    """
+    """A moment integral diverges, or the integrand produced non-finite values."""
 
     def __init__(self, message: str, order: int | None = None):
         super().__init__(message)
@@ -82,8 +81,9 @@ class SeriesTruncationError(DbarKitError, ArithmeticError):
 
 
 class UnrepresentableError(DbarKitError, ArithmeticError):
-    """A value kept in log form leaves the double range, or a kernel series
-    cancels so far that its rounding error exceeds the requested rel_tol."""
+    """A value kept in log form leaves the double range, a density underflows
+    where its integral needs it, or rounding (in a kernel series that cancels,
+    or of the radius next to a moment's peak) exceeds the requested rel_tol."""
 
 
 def checked_exp(log_value: float, what: str) -> float:

@@ -1,18 +1,17 @@
-"""Adaptive Gauss quadrature with an embedded error estimate.
+"""Adaptive Gauss quadrature of a stack of integrands.
 
-Each panel is integrated with 15-point and 7-point Gauss-Legendre rules; the
-absolute difference serves as the panel's error estimate.  Subdivision starts
-from uniform cells and bisects the worst panel until the summed estimate
-meets the requested tolerance, within a budget of ``_MAX_PANELS`` panels;
-there are no breakpoints.  Nodes and weights come from
-``numpy.polynomial.legendre.leggauss``, so there are no tabulated constants
-to mistype.
-
-Integrands must be vectorized (ndarray in, ndarray of the same shape out) and
-may be complex valued.
+Each panel gets 15-point and 7-point Gauss-Legendre rules (nodes from
+``numpy.polynomial.legendre.leggauss``), their difference being its error
+estimate, per component.  From uniform cells, each round bisects in one batch
+every panel whose error in an open component exceeds that component's
+tolerance over the panel count, until each component meets err_k <= rel_tol *
+|value_k|, within ``_MAX_PANELS`` panels and no breakpoints.  A half also
+takes half the move of its parent's G15 value where that move is about the
+parent's estimate, so a jump hidden between a panel end and the outermost
+nodes still counts.  Integrands map an ndarray of nodes, at most ``_CHUNK``
+panels' and first the initial cells', to values, or to a stack of shape
+(k, len(x)); values may be complex.
 """
-
-import heapq
 
 import numpy as np
 
@@ -20,20 +19,26 @@ from .errors import DivergenceError, QuadratureError
 
 _NODES7, _WEIGHTS7 = np.polynomial.legendre.leggauss(7)
 _NODES15, _WEIGHTS15 = np.polynomial.legendre.leggauss(15)
-_MAX_PANELS = 10 ** 6
+_NODES = np.concatenate((_NODES15, _NODES7))
+_MAX_PANELS = 10 ** 4
+_CHUNK = 64
 
 
-def _panel(f, a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    f15 = np.asarray(f(mid + half * _NODES15))
-    f7 = np.asarray(f(mid + half * _NODES7))
-    v15 = half * np.sum(_WEIGHTS15 * f15)
-    v7 = half * np.sum(_WEIGHTS7 * f7)
-    if not (np.isfinite(f15).all() and np.isfinite(f7).all()):
+def _panels(f, lo, hi):
+    """G15 values, |G15 - G7| estimates (k, len(lo)), and whether f stacks."""
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES
+    fx = [np.asarray(f(x[j:j + _CHUNK].ravel())) for j in range(0, len(x), _CHUNK)]
+    stacked = fx[0].ndim == 2
+    fx = [np.atleast_2d(y) for y in fx]
+    fx = fx[0] if len(fx) == 1 else np.concatenate(fx, axis=-1)
+    if not np.isfinite(fx).all():
+        bad = np.flatnonzero(~np.isfinite(fx).all(axis=0))[0] // len(_NODES)
         raise DivergenceError(
-            f"integrand returned non-finite values on [{a!r}, {b!r}]")
-    return complex(v15), abs(v15 - v7)
+            f"integrand returned non-finite values on [{lo[bad]!r}, {hi[bad]!r}]")
+    fx = fx.reshape(len(fx), len(lo), len(_NODES))
+    v15 = half * (fx[..., :15] @ _WEIGHTS15)
+    return v15, np.abs(v15 - half * (fx[..., 15:] @ _WEIGHTS7)), stacked
 
 
 def adaptive_quad(f, a: float, b: float, rel_tol: float = 1e-10,
@@ -41,56 +46,42 @@ def adaptive_quad(f, a: float, b: float, rel_tol: float = 1e-10,
     """Integrate a vectorized ``f`` over [a, b] adaptively, starting from
     ``initial`` uniform cells.
 
-    Returns ``(value, error_estimate)``; the value is complex when the
-    integrand is.  Raises :class:`QuadratureError` when the subdivision budget
-    is exhausted before the estimate reaches ``rel_tol * |value|``.
+    Returns ``(value, error_estimate)``: scalars when ``f`` returns one
+    component, arrays of length k when it returns a stack of k; the value is
+    complex when the integrand is.  Raises :class:`QuadratureError` when the
+    budget is exhausted, or no panel can be split, before every component's
+    estimate reaches ``rel_tol * |value|``.
     """
     if b == a:
         return 0.0, 0.0
-    edges = sorted({a, b, *(a + (b - a) * k / initial for k in range(1, initial))})
-
-    heap = []
-    done = []  # panels too narrow to split further
-    serial = 0
-    total = 0.0 + 0.0j
-    total_err = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _panel(f, lo, hi)
-        total += val
-        total_err += err
-        heapq.heappush(heap, (-err, serial, lo, hi, val))
-        serial += 1
-
-    n_panels = len(heap)
-    while heap:
-        if total_err <= rel_tol * abs(total):
+    edges = np.linspace(a, b, initial + 1)
+    lo, hi = edges[:-1], edges[1:]
+    val, err, stacked = _panels(f, lo, hi)
+    pick = slice(None) if stacked else 0
+    while True:
+        total, total_err = val.sum(axis=1), err.sum(axis=1)
+        tol = rel_tol * np.abs(total)
+        open_ = total_err > tol
+        if not open_.any():
             break
-        if n_panels >= _MAX_PANELS:
-            raise QuadratureError(
-                f"quadrature budget of {_MAX_PANELS} panels exhausted "
-                f"(achieved error estimate {total_err:.3e})",
-                estimate=total_err, value=total)
-        neg_err, _, lo, hi, val = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            # interval no longer splittable in floating point
-            done.append((lo, hi, val, -neg_err))
-            continue
-        total -= val
-        total_err += neg_err  # neg_err is -err
-        for l2, h2 in ((lo, mid), (mid, hi)):
-            v2, e2 = _panel(f, l2, h2)
-            total += v2
-            total_err += e2
-            heapq.heappush(heap, (-e2, serial, l2, h2, v2))
-            serial += 1
-        n_panels += 1
-
-    if not heap and done and total_err > rel_tol * abs(total):
-        raise QuadratureError(
-            "all panels reached floating-point width before meeting the "
-            f"tolerance (achieved error estimate {total_err:.3e})",
-            estimate=total_err, value=total)
-
-    value = total if total.imag != 0.0 else total.real
-    return value, total_err
+        split = (err[open_] > tol[open_, None] / len(lo)).any(axis=0)
+        split &= (lo < mid) & (mid < hi)
+        if not split.any() or len(lo) + split.sum() > _MAX_PANELS:
+            raise QuadratureError(
+                (f"quadrature budget of {_MAX_PANELS} panels exhausted"
+                 if split.any() else "all panels reached floating-point width "
+                 "before meeting the tolerance")
+                + f" (achieved error estimate {total_err.max():.3e})",
+                estimate=total_err[pick], value=total[pick])
+        new_lo = np.concatenate((lo[split], mid[split]))
+        new_hi = np.concatenate((mid[split], hi[split]))
+        v2, e2, _ = _panels(f, new_lo, new_hi)
+        change = 0.5 * np.abs(val[:, split] - v2[:, :split.sum()] - v2[:, split.sum():])
+        change[change < 0.05 * err[:, split]] = 0.0
+        e2 = np.maximum(e2, np.tile(change, 2))
+        keep = ~split
+        lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
+        val = np.concatenate((val[:, keep], v2), axis=1)
+        err = np.concatenate((err[:, keep], e2), axis=1)
+    return total[pick], total_err[pick]

@@ -16,6 +16,7 @@ and every formula acts coefficientwise, so desk-scale verification loses
 nothing; genuinely infinite expansions are out of scope.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -224,6 +225,13 @@ def _theta_count(degree: int, minimum: int = 32) -> int:
     return n
 
 
+def _modes(k, ntheta: int) -> np.ndarray:
+    """e^(i k theta_j) at the angles theta_j = 2 pi j / ntheta, (len(k), ntheta)."""
+    turns = np.outer(k, np.arange(ntheta))
+    turns %= ntheta
+    return np.exp(2j * math.pi * np.arange(ntheta) / ntheta)[turns]
+
+
 def defect_norm_quadrature(f: HolomorphicCoeffs, rho: float,
                            moments: MomentSequence,
                            rel_tol: float = 1e-10) -> float:
@@ -238,16 +246,24 @@ def defect_norm_quadrature(f: HolomorphicCoeffs, rho: float,
     weight = moments.weight
     proj = project_dilated(f, rho, moments)
     ntheta = _theta_count(f.degree + 1)
-    phases = np.exp(2j * math.pi * np.arange(ntheta) / ntheta)
+
+    # zbar z^k = r^2 z^(k-1), so mode k-1 of the difference at radius r is
+    # lead_k r^(k+1) - back_k r^(k-1), summed at the angles as one matrix
+    # product
+    k = np.arange(f.degree + 1)
+    lead = np.array(f.coeffs) * rho ** k
+    back = np.zeros(len(k), dtype=complex)
+    back[1:1 + len(proj.coeffs)] = proj.coeffs
+    modes = _modes(k - 1, ntheta)
 
     def angular_mean(rs):
-        w = rs[:, None] * phases[None, :]
-        diff = np.conjugate(w) * f(rho * w) - proj(w)
+        r = rs[:, None]
+        diff = (lead * r ** (k + 1) - back * r ** np.maximum(k - 1, 0)) @ modes
         return np.mean(diff.real ** 2 + diff.imag ** 2, axis=1)
 
-    value = _radial_quad(weight.log_density, weight.support_radius, rel_tol,
-                         fn=angular_mean)
-    return float(np.real(value))
+    values, shift = _radial_quad(weight.log_density, weight.support_radius,
+                                 rel_tol, fn=angular_mean)
+    return float(values[0].real * math.exp(shift[0]))
 
 
 def reproduce_check(moments: MomentSequence, f: HolomorphicCoeffs, z: complex,
@@ -269,19 +285,31 @@ def reproduce_check(moments: MomentSequence, f: HolomorphicCoeffs, z: complex,
             f"evaluation point must satisfy |z| < {weight.support_radius!r}, "
             f"got |z|={abs(z)!r}")
     ntheta = 128
-    phases = np.exp(2j * math.pi * np.arange(ntheta) / ntheta)
-    absz = abs(z)
+    absz, unit = abs(z), np.exp(1j * cmath.phase(z))
+    k = np.arange(f.degree + 1)
+    f_modes = np.array(f.coeffs)[:, None] * _modes(k, ntheta)  # f on the circles
 
-    def angular_mean(rs):
-        logs = _log_series_terms(moments.log_moment(0), moments.log_ratio,
-                                 absz * float(rs.max()))
-        coeffs = [math.exp(-moments.log_moment(k)) for k in range(len(logs))]
-        w = rs[:, None] * phases[None, :]
-        v = np.zeros_like(w)
-        u = z * np.conjugate(w)
-        for c in reversed(coeffs):
-            v = v * u + c
-        return np.mean(v * f(w), axis=1)
+    def circle_means(rs):  # of K f and |K f|^2, K(z, r e^(i theta)) summed
+        # over n of (z r)^n e^(-i n theta) / c_n^2 in log scale, as a product
+        n = np.arange(len(_log_series_terms(moments.log_moment(0), moments.log_ratio,
+                                            absz * float(rs.max()))))
+        log_x = np.log(np.maximum(absz * rs, np.finfo(float).tiny))
+        terms = np.exp(np.outer(log_x, n) - moments.log_moment(n)) * unit ** n
+        kf = (terms @ _modes(-n, ntheta)) * ((rs[:, None] ** k) @ f_modes)
+        return np.mean(kf, axis=1), np.mean(kf.real ** 2 + kf.imag ** 2, axis=1)
 
-    return complex(_radial_quad(weight.log_density, weight.support_radius,
-                                0.2 * rel_tol, fn=angular_mean))
+    def angular_mean(rs):  # blocks of 64 ascending radii size their own series
+        order = np.argsort(rs)
+        mean, square = np.empty(len(rs), dtype=complex), np.empty(len(rs))
+        for block in np.array_split(order, -(-len(rs) // 64)):
+            mean[block], square[block] = circle_means(rs[block])
+        floor = np.sqrt(square)
+        return np.stack((mean + 2.0 * floor, floor))
+
+    # the floor integrates the root mean square of |K f| over the angles,
+    # smooth in r and at least |mean K f|; shifted by twice it, the first
+    # component's modulus exceeds the floor, so the stop rule err <= rel_tol
+    # |value| holds at a zero of f, where the mean of K f is rounding noise
+    (shifted, floor), shift = _radial_quad(
+        weight.log_density, weight.support_radius, 0.2 * rel_tol, fn=angular_mean)
+    return complex((shifted - 2.0 * floor) * math.exp(shift[0]))

@@ -31,10 +31,14 @@ ndarray of indices, and a :class:`MomentSequence` fills its caches with one
 array call of them.
 
 The quadrature is deliberately kept independent of the closed forms and acts
-as the verification oracle.  For custom weights it is the only route.
-Orthogonality of the monomials is automatic for radial densities; their
-*completeness* cannot be decided from samples and remains the caller's
-responsibility for custom weights.
+as the verification oracle.  For custom weights it is the only route, and a
+:class:`MomentSequence` fills their log moments in blocks of up to 64 orders
+per pass of :func:`_radial_quad`: over s, with r = R exp(-e^(-s)) on a
+finite support and r = e^s on the plane, each order's log integrand shifted
+by its maximum on the initial nodes, and its divergence judged at the two
+ends of s.  Orthogonality of the monomials is automatic for radial
+densities; their *completeness* cannot be decided from samples and remains
+the caller's responsibility for custom weights.
 """
 
 import math
@@ -43,10 +47,12 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import (DivergenceError, ParameterDomainError, check_index,
-                     check_rel_tol, checked_exp, float_or_array)
+from .errors import (DbarKitError, DivergenceError, ParameterDomainError,
+                     UnrepresentableError, check_index, check_rel_tol, checked_exp,
+                     float_or_array)
 from .quadrature import adaptive_quad
 from .special import (
+    _LOG_TINY,
     LOG_2PI,
     LOG_PI,
     log_factorial,
@@ -183,7 +189,10 @@ class CustomRadial:
         object.__setattr__(self, "support_radius", rr)
 
     def log_density(self, r):
-        """ln of the caller's density on [0, support_radius]."""
+        """ln of the caller's density on [0, support_radius], NaN where it is
+        positive but below the normal double range: the radial integrator
+        checks that such radii do not matter, since past them a density
+        computed on a linear scale underflows to 0."""
         r = np.asarray(r, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             try:
@@ -197,117 +206,162 @@ class CustomRadial:
             raise ParameterDomainError(
                 "custom radial density returned negative or NaN values")
         with np.errstate(divide="ignore"):
-            return np.log(vals)
+            return np.where((vals > 0.0) & (vals < _TINY), np.nan, np.log(vals))
 
     @property
     def label(self) -> str:
         return "custom"
 
     def log_moment(self, n):
-        """ln c_n^2 by quadrature, one order at a time: the only route for a
-        custom density."""
+        """ln c_n^2 by quadrature, the only route for a custom density: the
+        distinct orders, ascending, in blocks of up to ``_BLOCK`` per pass."""
         n = check_index(n, "moment order")
-        return float_or_array(np.vectorize(lambda k: moment_quadrature(self, k),
-                                           otypes=[float])(n))
+        orders, where = np.unique(n, return_inverse=True)
+        logs = np.empty(len(orders))
+        for j in range(0, len(orders), _BLOCK):
+            logs[j:j + _BLOCK] = _log_moments(self, orders[j:j + _BLOCK])
+        return float_or_array(logs[where].reshape(np.shape(n)))
 
 
 WeightSpec = Union[DiscPolynomial, FockExponential, CustomRadial]
 
 
-# radii of the tail probe, the end of t in the fold r = t/(1-t), and its radius
-_PROBE_RADII = np.array([1e6, 1e8])
-_CLAMP = 1.0 - 1e-12
-_CLAMP_RADIUS = _CLAMP / (1.0 - _CLAMP)
+_BLOCK = 64  # orders per pass of the radial integrator
+_CELLS = 32  # initial cells in s; 8 with fn, of low order and costly per node
+# s stops where r = R exp(-e^(-s)) still rounds below R, and at r = e^s = 1e12
+_FINITE_SPAN, _PLANE_SPAN = (-6.0, 36.5), (-40.0, math.log(1e12))
+_TINY = np.finfo(float).tiny
+_HEADROOM = 600.0  # of ln f_n over its shift, short of overflow in exp
 
 
-def _radial_quad(log_density, radius, rel_tol, power=1, fn=None):
-    """2 pi * integral over [0, radius] of r^power exp(log_density(r)) fn(r) dr,
-    by adaptive quadrature to rel_tol / 4 from 8 uniform cells in r, or in t
-    on the whole plane; there are no breakpoints.
+def _failure(cls, n, message):
+    exc = cls(message)
+    exc.order = int(n)
+    return exc
 
-    ``fn`` (angular means, say) is only called where the density has not
-    underflowed, so it cannot produce inf * 0; without it the integrand is
-    exp(ln 2 pi + power ln r + log_density(r)).  It owns the fold of an
-    infinite ``radius`` onto [0, 1) by r = t/(1-t), which stops at r ~ 1e12,
-    and ln(r f(r)) of the integrand f is probed at r = 1e6 and 1e8 first: if
-    r f(r) has not begun to decay by 1e8, or its power-law tail past the
-    clamp exceeds ``rel_tol`` of the value, :class:`DivergenceError` is raised.
+
+def _radial_quad(log_density, radius, rel_tol, orders=0, fn=None):
+    """2 pi * integral over [0, radius] of r^(2n+1) exp(log_density(r)) fn(r) dr
+    for each order n, in one adaptive pass to ``rel_tol`` / 4 per component
+    over s, with r = R exp(-e^(-s)) on a finite support R, s in [-6, 36.5],
+    and r = e^s on the plane, s in [-40, ln 1e12]; there are no breakpoints.
+    Returns ``(values, log_scales)``, the integrals being values *
+    exp(log_scales): one per order, or one per component of ``fn``, which
+    maps live radii to shape (len(r),) or (j, len(r)) for a single order.
+
+    The log integrand ln f_n = ln 2 pi + (2n+2) ln r + log_density(r) +
+    ln(d ln r / ds), with ln r exact from s, is shifted per order by its
+    maximum on the initial cells' nodes, so nothing overflows, and ``fn`` is
+    only called where the shifted weight has not underflowed.  Typed failures
+    carry the first failing order as ``order``: :class:`UnrepresentableError`
+    where rounding r to a double moves ln f_n at its peak (where
+    d log_density / d ln r = -(2n+2)) by up to (n+1) eps > rel_tol, where a
+    NaN from ``log_density`` (a density below the normal double range) may
+    carry rel_tol of the peak, or where a peak passes its shift by e^600;
+    :class:`DivergenceError` unless ln |f_n fn|, probed at both ends of s and
+    one unit inside, decays outward, with its tail past the ends below
+    rel_tol of the value.
     """
-    def log_f(r):  # r > 0, without fn
-        return LOG_2PI + power * np.log(r) + log_density(r)
+    orders, eps = np.atleast_1d(orders), np.finfo(float).eps
+    power = 2.0 * orders + 2.0
+    if (coarse := orders[(orders + 1) * eps > rel_tol]).size:
+        raise _failure(UnrepresentableError, coarse[0], (
+            f"rounding r to a double moves the radial integrand of order {coarse[0]} "
+            f"at its peak by up to (n+1) eps = {(coarse[0] + 1) * eps:.2e}, more "
+            "than rel_tol"))
+    finite = math.isfinite(radius)
+    lo, hi = _FINITE_SPAN if finite else _PLANE_SPAN
 
-    def density_and_fn(r):  # fn is left 0 where the density underflowed
-        dens = np.exp(log_density(r))
-        vals = np.zeros(dens.shape, dtype=complex)
-        live = dens > 0.0
-        if live.any():
-            vals[live] = fn(r[live])
-        return dens, vals
+    def log_weight(s):
+        """r, ln f_n of shape (len(orders), len(s)) with an underflowed
+        density at its bound, and where it underflowed."""
+        log_r, log_jac = (math.log(radius) - np.exp(-s), -s) if finite else (s, 0.0)
+        r = np.exp(log_r)
+        log_rho = log_density(r)
+        under = np.isnan(log_rho)
+        logw = np.multiply.outer(power, log_r)
+        logw += LOG_2PI + log_jac + np.where(under, _LOG_TINY, log_rho)
+        if (bad := (logw == np.inf).any(axis=0)).any():
+            raise _failure(DivergenceError, orders[0],
+                           f"the density is infinite at r = {r[bad][0]!r}")
+        return r, logw, under
 
-    def integrand(r):
+    # the ends test: ln |f_n fn| at each end of s and one unit inside it
+    r_end, logp, _ = log_weight(np.array([lo, lo + 1.0, hi, hi - 1.0]))
+    if fn is not None and (live := logp[0] > _LOG_TINY).any():
+        with np.errstate(divide="ignore"):
+            logp[:, live] += np.log(np.abs(np.atleast_2d(fn(r_end[live])))).max(axis=0)
+    ends = logp[:, ::2]
+    with np.errstate(invalid="ignore"):
+        slope = ends - logp[:, 1::2]  # outward, per unit of s
+    if not ((slope < 0.0) | (ends == -np.inf)).all():
+        k, end = np.argwhere(~((slope < 0.0) | (ends == -np.inf)))[0]
+        raise _failure(DivergenceError, orders[k], (
+            f"the radial integrand of order {orders[k]} does not decay toward "
+            f"r = {r_end[2 * end]:.3g}"))
+    shift, shape = None, ()
+
+    def integrand(s):
+        nonlocal shift, shape
+        r, logw, under = log_weight(s)
+        if shift is None:
+            shift = logw.max(axis=1)
+            shift[shift == -np.inf] = 0.0
+        logw -= shift[:, None]
+        if (matters := (logw[:, under] > math.log(rel_tol)).any(axis=1)).any():
+            raise _failure(UnrepresentableError, orders[np.argmax(matters)], (
+                "the density underflows the double range where the radial "
+                f"integrand of order {orders[np.argmax(matters)]} may not be negligible"))
+        logw[:, under] = -np.inf
+        if (high := logw.max(axis=1) > _HEADROOM).any():
+            raise _failure(UnrepresentableError, orders[np.argmax(high)], (
+                f"the radial integrand of order {orders[np.argmax(high)]} peaks "
+                f"between the initial nodes, more than e^{_HEADROOM:.0f} above them"))
+        w = np.exp(logw, out=logw)
         if fn is None:
-            return np.exp(log_f(r))
-        dens, vals = density_and_fn(r)
-        return 2.0 * math.pi * r ** power * dens * vals
+            return w
+        live = w[0] > 0.0
+        got = np.asarray(fn(r[live])) if live.any() else np.zeros(shape + (0,))
+        shape = got.shape[:-1]
+        out = np.zeros(shape + s.shape, dtype=got.dtype)
+        out[..., live] = got
+        return w[0] * out
 
-    def integrate(tol):
-        with np.errstate(over="ignore"):  # an inf raises in the quadrature
-            value = adaptive_quad(f, 0.0, upper, rel_tol=tol)[0]
-        log_value = math.log(abs(value)) if value else -math.inf
-        if log_tail > math.log(rel_tol) + log_value:
-            raise DivergenceError(
-                f"its tail past r = {_CLAMP_RADIUS:.0e} exceeds rel_tol of the value")
-        return value
+    values = np.atleast_1d(adaptive_quad(
+        integrand, lo, hi, 0.25 * rel_tol, initial=_CELLS if fn is None else 8)[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail = np.fmax.reduce(ends - np.log(-slope), axis=1) - shift
+        big = tail > math.log(rel_tol) + np.log(np.abs(values))
+    if big.any():
+        n = np.broadcast_to(orders, big.shape)[np.argmax(big)]
+        raise _failure(DivergenceError, n, (
+            f"the tail of the radial integrand of order {n} below r = {r_end[0]:.3g} "
+            f"or past r = {r_end[2]:.3g} exceeds rel_tol of the value"))
+    return values, shift
 
-    f, upper, log_tail = integrand, radius, -math.inf
-    if math.isinf(radius):
-        def f(t):  # the fold r = t/(1-t)
-            om = 1.0 - t
-            return integrand(t / om) / (om * om)
 
-        upper = _CLAMP
-
-        log_probe = log_f(_PROBE_RADII) + np.log(_PROBE_RADII)
-        if fn is not None:
-            with np.errstate(divide="ignore"):
-                log_probe += np.log(np.abs(density_and_fn(_PROBE_RADII)[1]))
-        log6, log8 = log_probe
-        if log8 > -math.inf:
-            if not log8 < log6:
-                raise DivergenceError(
-                    "r f(r) of the integrand f has not begun to decay by r = 1e8")
-            # the power law r f(r) ~ exp(log8) (r/1e8)^(-q) through the
-            # probes, integrated past the clamp
-            q = (log6 - log8) / math.log(100.0)
-            log_tail = log8 + q * math.log(1e8 / _CLAMP_RADIUS) - math.log(q)
-            if log_tail > math.log(rel_tol) + log6:
-                # the tail may reach rel_tol of the value: judge it on a
-                # coarse value first, since near the clamp the fine
-                # quadrature can spin for seconds on the rounding of t/(1-t)
-                integrate(1e-3)
-    return integrate(0.25 * rel_tol)
+def _log_moments(weight, orders, rel_tol: float = 1e-10) -> np.ndarray:
+    """ln c_n^2 for the ascending orders of one block, in one pass."""
+    values, shift = _radial_quad(weight.log_density, weight.support_radius,
+                                 rel_tol, orders)
+    if (bad := ~(np.isfinite(values) & (values > 0.0))).any():
+        n, value = orders[np.argmax(bad)], values[np.argmax(bad)]
+        raise _failure(DivergenceError, n, (
+            f"moment of order {n} is not a finite positive number (got {value!r})"))
+    return np.log(values) + shift
 
 
 def moment_quadrature(weight: WeightSpec, n, rel_tol: float = 1e-10) -> float:
     """ln c_n^2 by adaptive quadrature of 2 pi * int r^(2n+1) density(r) dr,
-    in log scale so r^(2n+1) cannot overflow before the density underflows.
+    on a log scale, so neither r^(2n+1) nor the moment can overflow: a block
+    of one order of the radial integrator.
 
     Independent of the closed forms; this is the oracle the closed forms are
     tested against.
     """
     n = check_index(n, "moment order")
     check_rel_tol(rel_tol)
-    try:
-        value = float(_radial_quad(weight.log_density, weight.support_radius,
-                                   rel_tol, power=2 * n + 1))
-    except DivergenceError as exc:
-        raise DivergenceError(f"moment of order {n} diverges: {exc}",
-                              order=n) from exc
-    if not (math.isfinite(value) and value > 0.0):
-        raise DivergenceError(
-            f"moment of order {n} is not a finite positive number "
-            f"(got {value!r})", order=n)
-    return math.log(value)
+    return float(_log_moments(weight, np.array([n]), rel_tol)[0])
 
 
 class MomentSequence:
@@ -336,14 +390,22 @@ class MomentSequence:
     # -- cache ------------------------------------------------------------
 
     def ensure(self, n: int) -> None:
-        """Extend the cache so that ln c_k^2 is available for all k <= n."""
+        """Extend the cache so that ln c_k^2 is available for all k <= n; a
+        quadrature fills one block of orders per pass, stops at ``n`` and
+        keeps the orders before a failing one."""
         n = check_index(n, "moment order")
         while len(self._logs) <= n:
             have = len(self._logs)
-            stop = (have + 1 if self.weight.log_ratio is None
+            stop = (min(n + 1, have + _BLOCK) if self.weight.log_ratio is None
                     else max(n + 1, 2 * have, 64))
-            self._logs = np.concatenate(
-                (self._logs, self.weight.log_moment(np.arange(have, stop))))
+            try:
+                new = self.weight.log_moment(np.arange(have, stop))
+            except DbarKitError as exc:
+                if have < (exc.order or 0):
+                    new = self.weight.log_moment(np.arange(have, exc.order))
+                    self._logs = np.concatenate((self._logs, new))
+                raise
+            self._logs = np.concatenate((self._logs, new))
 
     def _grow_ratios(self, top: int) -> None:
         """Extend the log ratio and ratio caches past index ``top``."""

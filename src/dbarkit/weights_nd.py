@@ -306,10 +306,11 @@ def check_hilbert_schmidt_hypotheses(weight: PshWeight, tau: float, sigma: float
     try:
         estimates = []
         for d in dirs:
-            value = _radial_quad(
+            (value,), (shift,) = _radial_quad(
                 lambda r, d=d: (tau - sigma) * weight.evaluate(np.multiply.outer(r, d)),
-                math.inf, 1e-8, power=2 * dim - 1)
-            estimates.append(math.pi ** (dim - 1) / math.factorial(dim - 1) * value)
+                math.inf, 1e-8, orders=dim - 1)
+            estimates.append(math.pi ** (dim - 1) / math.factorial(dim - 1)
+                             * value * math.exp(shift))
         finite = all(math.isfinite(v) for v in estimates)
         checks.append(HypothesisCheck(
             "integrability", finite,

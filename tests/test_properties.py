@@ -85,7 +85,7 @@ def test_defect_norm_within_bound_constant(weight, coeffs, rho):
 
 
 # 2 pi int r^(2n+1) (1+r)^-p dr = 2 pi B(2n+2, d) with d = p - 2n - 2: it
-# converges for d > 0, but only for d >= 1 is the tail past the clamp at
+# converges for d > 0, but only for d >= 1 is the tail past the end of s at
 # r ~ 1e12 surely below rel_tol, so 0 < d < 1 may also raise
 @settings(derandomize=True, deadline=1000, max_examples=100)
 @given(n=st.integers(0, 3), d=st.floats(-1.0, 6.0))
@@ -104,7 +104,7 @@ def test_power_law_moment_value_or_divergence(n, d):
 
 # the quadrature oracle against the closed forms, on the whole plane and up
 # to order 1e5 on the disc.  Fock orders whose integrand has not decayed by
-# r = 1e8 raise.  The examples put much of the mass in a narrow band (near
+# r = 1e12 raise.  The examples put much of the mass in a narrow band (near
 # r = 1 for the disc, far out for small m) that a coarse cell can hide from
 # every Gauss node
 @settings(derandomize=True, deadline=2000, max_examples=150)

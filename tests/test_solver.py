@@ -439,12 +439,25 @@ class TestQuadratureOracles:
 
     def test_defect_quadrature_peak_past_clamp_is_typed_and_fast(self):
         # c_0^2 = exp(864.4) on exp(-|z|^0.01), whose integrand peaks far past
-        # the clamp at r ~ 1e12: the tail probe refuses before any quadrature
+        # the end of s at r ~ 1e12: the probes refuse before any quadrature
         ms = MomentSequence(FockExponential(0.01))
         t0 = time.perf_counter()
         with pytest.raises(DbarKitError):
             defect_norm_quadrature(HolomorphicCoeffs([1.0]), 0.5, ms)
         assert time.perf_counter() - t0 < 1.0
+
+    def test_reproduce_at_a_zero_of_f_is_fast(self):
+        # f = z at z = 0: the mean of K f is rounding noise, so the stop rule
+        # takes its floor from |K f| = r / c_0^2, whose integral is
+        # int |w| dmu / c_0^2: 2/3 on the unit disc, Gamma(10) / Gamma(20/3)
+        # on exp(-|z|^0.3)
+        for weight, floor in ((DiscPolynomial(0.0), 2.0 / 3.0),
+                              (FockExponential(0.3),
+                               math.exp(math.lgamma(10.0) - math.lgamma(20.0 / 3.0)))):
+            t0 = time.perf_counter()
+            got = reproduce_check(MomentSequence(weight), HolomorphicCoeffs([0, 1]), 0)
+            assert time.perf_counter() - t0 < 1.0
+            assert abs(got) <= 1e-8 * floor
 
     def test_reproduce_custom_support_domain(self):
         ms = MomentSequence(CustomRadial(lambda r: np.ones_like(r), 2.0))

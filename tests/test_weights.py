@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -179,8 +180,8 @@ class TestQuadratureOracle:
         assert info.value.order == 2
 
     def test_divergent_custom_density_slow(self):
-        # r/(1+r) -> 1, so every moment diverges; the probe in front of the
-        # quadrature must notice
+        # r/(1+r) -> 1, so every moment diverges; the probes at the ends of s,
+        # taken before the quadrature, must notice
         w = CustomRadial(lambda r: 1.0 / (1.0 + r), support_radius=math.inf)
         t0 = time.perf_counter()
         with pytest.raises(DivergenceError) as info:
@@ -189,17 +190,54 @@ class TestQuadratureOracle:
         assert time.perf_counter() - t0 < 1.0
 
     def test_high_order_custom_moments_in_log_scale(self):
-        # r^(2n+1) overflows long before these densities underflow
+        # r^(2n+1) overflows long before these densities underflow, and so
+        # does the integrand on a linear scale at n = 170 of exp(-r^2)
         gauss = CustomRadial(lambda r: np.exp(-r * r))
-        assert moment_quadrature(gauss, 110) == pytest.approx(
-            LOG_PI + math.lgamma(111.0), abs=1e-9)
+        for n in (110, 170, 400):
+            assert moment_quadrature(gauss, n) == pytest.approx(
+                LOG_PI + math.lgamma(n + 1.0), abs=1e-9)
         quartic = CustomRadial(lambda r: np.exp(-r ** 4))
         assert moment_quadrature(quartic, 250) == pytest.approx(
             math.log(math.pi / 2) + math.lgamma(125.5), abs=1e-9)
+        for m, n in ((3.0, 400), (0.7, 60)):
+            w = FockExponential(m)
+            assert moment_quadrature(w, n) == pytest.approx(w.log_moment(n), abs=1e-9)
+
+    def test_underflowed_custom_density_is_named(self):
+        # the caller's exp(-r^2) is 0 in double past r = 27.3, short of the
+        # peak of r^2001 exp(-r^2) at r = 31.6
+        gauss = CustomRadial(lambda r: np.exp(-r * r))
+        t0 = time.perf_counter()
+        with pytest.raises(UnrepresentableError, match="underflows") as info:
+            moment_quadrature(gauss, 1000)
+        assert info.value.order == 1000
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_disc_at_a_million_orders(self):
+        # the mass of r^(2n+1) lies within ~1/n of r = 1: the value matches
+        # the closed form, or the rounding of r next to 1 is named
+        for alpha in (0.5, 1.0):
+            w = DiscPolynomial(alpha)
+            for n in (10 ** 6, 2 * 10 ** 6):
+                try:
+                    got = moment_quadrature(w, n)
+                except UnrepresentableError as exc:
+                    assert "rounding r" in str(exc) and exc.order == n
+                    continue
+                assert abs(got - w.log_moment(n)) <= 1e-9
+
+    def test_jump_density(self):
+        # 1[r >= 1/2] on the unit disc: c_n^2 = 2 pi (1 - 4^-(n+1)) / (2n+2);
+        # the panels must find the jump at s = -ln ln 2
+        ms = MomentSequence(CustomRadial(lambda r: (r >= 0.5).astype(float), 1.0))
+        ms.ensure(1000)
+        n = np.arange(1001)
+        want = np.log(2.0 * np.pi * (1.0 - 4.0 ** -(n + 1.0)) / (2.0 * n + 2.0))
+        assert np.abs(ms.log_moments - want).max() <= 1e-9
 
     def test_power_law_tails_converge(self):
         # 2 pi int r (1+r)^-3 dr = pi and 2 pi int r (1+r^2)^-1.5 dr = 2 pi:
-        # r f(r) is still far from negligible at r = 1e8
+        # r f(r) is still far from negligible at r = 1e8, and decays as 1/r
         w = CustomRadial(lambda r: (1.0 + r) ** -3.0)
         assert moment_quadrature(w, 0) == pytest.approx(LOG_PI, abs=1e-9)
         w = CustomRadial(lambda r: (1.0 + r * r) ** -1.5)
@@ -207,8 +245,8 @@ class TestQuadratureOracle:
             math.log(2.0 * math.pi), abs=1e-9)
 
     def test_fock_peak_past_clamp_is_typed(self):
-        # the integrand of m = 0.05 peaks near r = 1e26, past the clamp at
-        # 1e12; for m = 1e-3 the peak radius overflows a double
+        # the integrand of m = 0.05 peaks near r = 1e26, past the end of s at
+        # r = 1e12; for m = 1e-3 the peak radius overflows a double
         for m in (0.05, 1e-3):
             with pytest.raises(DivergenceError) as info:
                 moment_quadrature(FockExponential(m), 0)
@@ -241,6 +279,20 @@ class TestMomentSequence:
         custom.log_moment(2)
         assert custom.computed_upto == 5
         assert len(custom.log_moments) == 6
+
+    def test_custom_cache_fills_in_blocks_within_memory(self):
+        # 2002 orders of 1 - r^2 in blocks of 64 per pass
+        tracemalloc.start()
+        try:
+            ms = MomentSequence(CustomRadial(lambda r: 1.0 - r * r, 1.0))
+            ms.ensure(2001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        n = np.arange(2002)
+        want = np.log(np.pi / ((n + 1.0) * (n + 2.0)))
+        assert np.abs(ms.log_moments - want).max() <= 1e-9
 
     def test_custom_failure_keeps_earlier_orders(self):
         # 2 pi int r^(2n+1) (1+r)^-5 dr is finite for n = 0, 1 only

@@ -263,7 +263,8 @@ class TestHypothesisChecker:
 
     def test_divergent_tail_fails_integrability(self):
         # int exp(-p) diverges, but exp(-p) underflows long before |z| = 3e3:
-        # only the tail probe at |z| = 1e6 and 1e8 sees p turn negative
+        # only the probes at the ends of s, up to |z| = 1e12, see p turn
+        # negative
         def p(z):
             r = np.linalg.norm(z, axis=-1)
             return np.where(r < 3e3, r * r, -r)
@@ -274,8 +275,8 @@ class TestHypothesisChecker:
         assert [c.passed for c in report.checks] == [True, True, True, False]
 
     def test_nonfinite_weight_fails_integrability_only(self):
-        # the tail probe samples p at |z| = 1e6 and 1e8, the other checks only
-        # to 1025; ParameterDomainError is typed, so reported
+        # the probes at the ends of s sample p up to |z| = 1e12, the other
+        # checks only to 1025; ParameterDomainError is typed, so reported
         def p(z):
             inside = np.linalg.norm(z, axis=-1) < 2e3
             return np.where(inside, np.sum(np.abs(z) ** 2, axis=-1), np.inf)
