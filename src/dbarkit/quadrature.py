@@ -20,7 +20,7 @@ from .errors import DivergenceError, QuadratureError
 _NODES7, _WEIGHTS7 = np.polynomial.legendre.leggauss(7)
 _NODES15, _WEIGHTS15 = np.polynomial.legendre.leggauss(15)
 _NODES = np.concatenate((_NODES15, _NODES7))
-_MAX_PANELS = 10 ** 4
+_MAX_PANELS = 10 ** 4  # the (k, panels) values and estimates of 64 orders: 10 MB
 _CHUNK = 64
 
 

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .special import _kernel_series, _log_series_terms
 from .spectrum import eigenvalue
-from .weights import MomentSequence, _radial_quad
+from .weights import MomentSequence, _radial_quad, _scaled
 
 
 @dataclass(frozen=True)
@@ -218,52 +218,34 @@ def dbar_residual(F: HybridFunction, f: HolomorphicCoeffs, points) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _theta_count(degree: int, minimum: int = 32) -> int:
-    n = minimum
-    while n < 4 * (degree + 2):
-        n *= 2
-    return n
-
-
-def _modes(k, ntheta: int) -> np.ndarray:
-    """e^(i k theta_j) at the angles theta_j = 2 pi j / ntheta, (len(k), ntheta)."""
-    turns = np.outer(k, np.arange(ntheta))
-    turns %= ntheta
-    return np.exp(2j * math.pi * np.arange(ntheta) / ntheta)[turns]
-
-
 def defect_norm_quadrature(f: HolomorphicCoeffs, rho: float,
                            moments: MomentSequence,
                            rel_tol: float = 1e-10) -> float:
     """integral of |zbar f(rho z) - P(zbar f_rho)(z)|^2 dmu by quadrature.
 
-    Radial-angular: the angular average is a trapezoid over enough uniform
-    angles to integrate the trigonometric polynomial exactly; the radial
-    integral is adaptive.  Must agree with :func:`defect_norm_sq`.
+    Radial-angular: the angular mean of the squared difference is the sum of
+    its modes' squared moduli (Parseval); the radial integral is adaptive.
+    Must agree with :func:`defect_norm_sq`.
     """
     if not (0.0 < rho < 1.0):
         raise ParameterDomainError(f"rho must lie in (0, 1), got {rho!r}")
     weight = moments.weight
     proj = project_dilated(f, rho, moments)
-    ntheta = _theta_count(f.degree + 1)
-
     # zbar z^k = r^2 z^(k-1), so mode k-1 of the difference at radius r is
-    # lead_k r^(k+1) - back_k r^(k-1), summed at the angles as one matrix
-    # product
+    # lead_k r^(k+1) - back_k r^(k-1)
     k = np.arange(f.degree + 1)
     lead = np.array(f.coeffs) * rho ** k
     back = np.zeros(len(k), dtype=complex)
     back[1:1 + len(proj.coeffs)] = proj.coeffs
-    modes = _modes(k - 1, ntheta)
 
     def angular_mean(rs):
         r = rs[:, None]
-        diff = (lead * r ** (k + 1) - back * r ** np.maximum(k - 1, 0)) @ modes
-        return np.mean(diff.real ** 2 + diff.imag ** 2, axis=1)
+        diff = lead * r ** (k + 1) - back * r ** np.maximum(k - 1, 0)
+        return np.sum(diff.real ** 2 + diff.imag ** 2, axis=1)
 
     values, shift = _radial_quad(weight.log_density, weight.support_radius,
                                  rel_tol, fn=angular_mean)
-    return float(values[0].real * math.exp(shift[0]))
+    return float(_scaled(values[0].real, shift[0]))
 
 
 def reproduce_check(moments: MomentSequence, f: HolomorphicCoeffs, z: complex,
@@ -285,17 +267,19 @@ def reproduce_check(moments: MomentSequence, f: HolomorphicCoeffs, z: complex,
             f"evaluation point must satisfy |z| < {weight.support_radius!r}, "
             f"got |z|={abs(z)!r}")
     ntheta = 128
-    absz, unit = abs(z), np.exp(1j * cmath.phase(z))
-    k = np.arange(f.degree + 1)
-    f_modes = np.array(f.coeffs)[:, None] * _modes(k, ntheta)  # f on the circles
+    absz, unit, log_c0 = abs(z), np.exp(1j * cmath.phase(z)), moments.log_moment(0)
+    coeffs = ntheta * np.array(f.coeffs)  # f on the circles: ifft of these * r^k
 
-    def circle_means(rs):  # of K f and |K f|^2, K(z, r e^(i theta)) summed
-        # over n of (z r)^n e^(-i n theta) / c_n^2 in log scale, as a product
-        n = np.arange(len(_log_series_terms(moments.log_moment(0), moments.log_ratio,
+    def circle_means(rs):  # of c_0^2 K f and its square at the angles 2 pi j /
+        # ntheta: K(z, r e^(i theta)) sums (z r)^n e^(-i n theta) / c_n^2 over n,
+        # in log scale, which folded by n mod ntheta is one FFT
+        n = np.arange(len(_log_series_terms(log_c0, moments.log_ratio,
                                             absz * float(rs.max()))))
         log_x = np.log(np.maximum(absz * rs, np.finfo(float).tiny))
-        terms = np.exp(np.outer(log_x, n) - moments.log_moment(n)) * unit ** n
-        kf = (terms @ _modes(-n, ntheta)) * ((rs[:, None] ** k) @ f_modes)
+        terms = unit ** n * np.exp(np.outer(log_x, n) + (log_c0 - moments.log_moment(n)))
+        terms = np.pad(terms, ((0, 0), (0, -len(n) % ntheta)))
+        kf = np.fft.fft(terms.reshape(len(rs), -1, ntheta).sum(axis=1)) * np.fft.ifft(
+            coeffs * rs[:, None] ** np.arange(len(coeffs)), ntheta)
         return np.mean(kf, axis=1), np.mean(kf.real ** 2 + kf.imag ** 2, axis=1)
 
     def angular_mean(rs):  # blocks of 64 ascending radii size their own series
@@ -312,4 +296,4 @@ def reproduce_check(moments: MomentSequence, f: HolomorphicCoeffs, z: complex,
     # |value| holds at a zero of f, where the mean of K f is rounding noise
     (shifted, floor), shift = _radial_quad(
         weight.log_density, weight.support_radius, 0.2 * rel_tol, fn=angular_mean)
-    return complex((shifted - 2.0 * floor) * math.exp(shift[0]))
+    return complex(_scaled(shifted - 2.0 * floor, shift[0] - log_c0))

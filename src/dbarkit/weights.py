@@ -47,9 +47,9 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import (DbarKitError, DivergenceError, ParameterDomainError,
-                     UnrepresentableError, check_index, check_rel_tol, checked_exp,
-                     float_or_array)
+from .errors import (LOG_DBL_MAX, DbarKitError, DivergenceError,
+                     ParameterDomainError, QuadratureError, UnrepresentableError,
+                     check_index, check_rel_tol, checked_exp, float_or_array)
 from .quadrature import adaptive_quad
 from .special import (
     _LOG_TINY,
@@ -219,7 +219,7 @@ class CustomRadial:
         orders, where = np.unique(n, return_inverse=True)
         logs = np.empty(len(orders))
         for j in range(0, len(orders), _BLOCK):
-            logs[j:j + _BLOCK] = _log_moments(self, orders[j:j + _BLOCK])
+            logs[j:j + _BLOCK] = moment_quadrature(self, orders[j:j + _BLOCK])
         return float_or_array(logs[where].reshape(np.shape(n)))
 
 
@@ -243,24 +243,21 @@ def _failure(cls, n, message):
 def _radial_quad(log_density, radius, rel_tol, orders=0, fn=None):
     """2 pi * integral over [0, radius] of r^(2n+1) exp(log_density(r)) fn(r) dr
     for each order n, in one adaptive pass to ``rel_tol`` / 4 per component
-    over s, with r = R exp(-e^(-s)) on a finite support R, s in [-6, 36.5],
-    and r = e^s on the plane, s in [-40, ln 1e12]; there are no breakpoints.
-    Returns ``(values, log_scales)``, the integrals being values *
-    exp(log_scales): one per order, or one per component of ``fn``, which
-    maps live radii to shape (len(r),) or (j, len(r)) for a single order.
+    over s: r = R exp(-e^(-s)) on a finite support R, s in [-6, 36.5], and
+    r = e^s on the plane, s in [-40, ln 1e12].  Returns ``(values,
+    log_scales)``, the integrals being values * exp(log_scales), one per
+    order, or for a single order one per component of ``fn``, which maps live
+    radii to shape (len(r),) or (j, len(r)).
 
-    The log integrand ln f_n = ln 2 pi + (2n+2) ln r + log_density(r) +
-    ln(d ln r / ds), with ln r exact from s, is shifted per order by its
-    maximum on the initial cells' nodes, so nothing overflows, and ``fn`` is
-    only called where the shifted weight has not underflowed.  Typed failures
-    carry the first failing order as ``order``: :class:`UnrepresentableError`
-    where rounding r to a double moves ln f_n at its peak (where
-    d log_density / d ln r = -(2n+2)) by up to (n+1) eps > rel_tol, where a
-    NaN from ``log_density`` (a density below the normal double range) may
-    carry rel_tol of the peak, or where a peak passes its shift by e^600;
-    :class:`DivergenceError` unless ln |f_n fn|, probed at both ends of s and
-    one unit inside, decays outward, with its tail past the ends below
-    rel_tol of the value.
+    ln f_n = ln 2 pi + (2n+2) ln r + log_density(r) + ln(d ln r / ds), with
+    ln r exact from s, is shifted per order by its maximum on the initial
+    nodes, so nothing overflows.  Typed failures carry the first failing
+    order as ``order``: :class:`UnrepresentableError` where rounding r next
+    to the peak moves ln f_n by (n+1) eps > rel_tol, where a density below
+    the normal double range (NaN from ``log_density``) may matter, or where a
+    peak passes its shift by e^600; :class:`DivergenceError` unless ln |f_n
+    fn|, probed at both ends of s and one unit inside, decays outward with
+    its tail past the ends below rel_tol of the value.
     """
     orders, eps = np.atleast_1d(orders), np.finfo(float).eps
     power = 2.0 * orders + 2.0
@@ -327,8 +324,13 @@ def _radial_quad(log_density, radius, rel_tol, orders=0, fn=None):
         out[..., live] = got
         return w[0] * out
 
-    values = np.atleast_1d(adaptive_quad(
-        integrand, lo, hi, 0.25 * rel_tol, initial=_CELLS if fn is None else 8)[0])
+    try:
+        values = np.atleast_1d(adaptive_quad(
+            integrand, lo, hi, 0.25 * rel_tol, initial=_CELLS if fn is None else 8)[0])
+    except QuadratureError as exc:  # it names the first order left open
+        open_ = np.atleast_1d(exc.estimate) > 0.25 * rel_tol * np.abs(exc.value)
+        exc.order = int(np.broadcast_to(orders, open_.shape)[np.argmax(open_)])
+        raise
     with np.errstate(divide="ignore", invalid="ignore"):
         tail = np.fmax.reduce(ends - np.log(-slope), axis=1) - shift
         big = tail > math.log(rel_tol) + np.log(np.abs(values))
@@ -340,28 +342,33 @@ def _radial_quad(log_density, radius, rel_tol, orders=0, fn=None):
     return values, shift
 
 
-def _log_moments(weight, orders, rel_tol: float = 1e-10) -> np.ndarray:
-    """ln c_n^2 for the ascending orders of one block, in one pass."""
-    values, shift = _radial_quad(weight.log_density, weight.support_radius,
-                                 rel_tol, orders)
-    if (bad := ~(np.isfinite(values) & (values > 0.0))).any():
-        n, value = orders[np.argmax(bad)], values[np.argmax(bad)]
-        raise _failure(DivergenceError, n, (
-            f"moment of order {n} is not a finite positive number (got {value!r})"))
-    return np.log(values) + shift
+def _scaled(value, log_scale: float):
+    """value * exp(log_scale) for one of the radial integrator's values, or
+    :class:`UnrepresentableError` when it overflows a double."""
+    if not value:
+        return value
+    size = checked_exp(math.log(abs(value)) + float(log_scale),
+                       "the radial integral")
+    return (value * math.exp(log_scale) if log_scale <= LOG_DBL_MAX
+            else value / abs(value) * size)
 
 
-def moment_quadrature(weight: WeightSpec, n, rel_tol: float = 1e-10) -> float:
+def moment_quadrature(weight: WeightSpec, n, rel_tol: float = 1e-10):
     """ln c_n^2 by adaptive quadrature of 2 pi * int r^(2n+1) density(r) dr,
-    on a log scale, so neither r^(2n+1) nor the moment can overflow: a block
-    of one order of the radial integrator.
+    on a log scale, so neither r^(2n+1) nor the moment can overflow: at an
+    index, or at an index array taken as one block of the radial integrator.
 
     Independent of the closed forms; this is the oracle the closed forms are
     tested against.
     """
     n = check_index(n, "moment order")
     check_rel_tol(rel_tol)
-    return float(_log_moments(weight, np.array([n]), rel_tol)[0])
+    values, shift = _radial_quad(weight.log_density, weight.support_radius,
+                                 rel_tol, n)
+    if (bad := values <= 0.0).any():  # a density that is 0 almost everywhere
+        k = np.atleast_1d(n)[np.argmax(bad)]
+        raise _failure(DivergenceError, k, f"moment of order {k} is not positive")
+    return float_or_array(np.reshape(np.log(values) + shift, np.shape(n)))
 
 
 class MomentSequence:
@@ -373,9 +380,9 @@ class MomentSequence:
 
     Queries take an index or an index array.  A closed form fills each
     cache in geometrically growing blocks by one array call; a quadrature
-    fills the log moments one order at a time up to the request, so a
-    failing order keeps the ones before it.  ``log_ratio(n)``, and
-    ``ratio(n)``, have a cache of their own, filled by the closed form
+    fills the log moments in blocks of up to ``_BLOCK`` orders up to the
+    request, and a failing order keeps the ones before it.  ``log_ratio(n)``,
+    and ``ratio(n)``, have a cache of their own, filled by the closed form
     ln(c_{n+1}^2 / c_n^2), which keeps its *absolute* error at a few ulp
     when the log moments are huge, or for a custom weight by differences of
     the cached log moments.
@@ -400,10 +407,10 @@ class MomentSequence:
                     else max(n + 1, 2 * have, 64))
             try:
                 new = self.weight.log_moment(np.arange(have, stop))
-            except DbarKitError as exc:
+            except DbarKitError as exc:  # keep the orders before the failing one
                 if have < (exc.order or 0):
-                    new = self.weight.log_moment(np.arange(have, exc.order))
-                    self._logs = np.concatenate((self._logs, new))
+                    kept = self.weight.log_moment(np.arange(have, exc.order))
+                    self._logs = np.concatenate((self._logs, kept))
                 raise
             self._logs = np.concatenate((self._logs, new))
 

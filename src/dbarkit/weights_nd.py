@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (DbarKitError, InconclusiveSupremumError, ParameterDomainError,
                      check_index, check_point, float_or_array)
-from .weights import _radial_quad
+from .weights import _radial_quad, _scaled
 
 #: Increasing radii 1, 2, 4, ..., 1024 along which the asymptotic checks sample p.
 SAMPLE_RADII = 2.0 ** np.arange(11)
@@ -310,7 +310,7 @@ def check_hilbert_schmidt_hypotheses(weight: PshWeight, tau: float, sigma: float
                 lambda r, d=d: (tau - sigma) * weight.evaluate(np.multiply.outer(r, d)),
                 math.inf, 1e-8, orders=dim - 1)
             estimates.append(math.pi ** (dim - 1) / math.factorial(dim - 1)
-                             * value * math.exp(shift))
+                             * _scaled(value, shift))
         finite = all(math.isfinite(v) for v in estimates)
         checks.append(HypothesisCheck(
             "integrability", finite,

@@ -459,6 +459,18 @@ class TestQuadratureOracles:
             assert time.perf_counter() - t0 < 1.0
             assert abs(got) <= 1e-8 * floor
 
+    def test_oracles_past_the_double_range(self):
+        # 1e300 on the disc of radius 1e10: c_0^2 = pi 1e320, and the defect
+        # integral passes the double range too; the kernel is scaled by c_0^2
+        # within the pass, so K f integrates to f(1) = 1, to the accuracy of
+        # its floor, here (R / |z|) times |f(z)|
+        ms = MomentSequence(CustomRadial(lambda r: np.full_like(r, 1e300), 1e10))
+        f = HolomorphicCoeffs([0, 1])
+        for call in (defect_norm_sq, defect_norm_quadrature):
+            with pytest.raises(UnrepresentableError):
+                call(f, 0.5, ms)
+        assert abs(reproduce_check(ms, f, 1.0) - 1.0) < 1e-5
+
     def test_reproduce_custom_support_domain(self):
         ms = MomentSequence(CustomRadial(lambda r: np.ones_like(r), 2.0))
         t0 = time.perf_counter()

@@ -7,9 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dbarkit import quadrature
 from dbarkit.errors import (
     DivergenceError,
     ParameterDomainError,
+    QuadratureError,
     UnrepresentableError,
 )
 from dbarkit.weights import (
@@ -301,6 +303,17 @@ class TestMomentSequence:
             ms.ensure(4)
         assert info.value.order == 2
         assert ms.computed_upto == 1
+
+    def test_custom_budget_failure_keeps_earlier_orders(self, monkeypatch):
+        # at 51 panels the block of exp(-r^2) orders 0..63 leaves one above 0 open
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 51)
+        ms = MomentSequence(CustomRadial(lambda r: np.exp(-r * r)))
+        with pytest.raises(QuadratureError) as info:
+            ms.ensure(63)
+        assert info.value.order > 0
+        assert ms.computed_upto == info.value.order - 1
+        log_factorials = np.cumsum(np.log(np.maximum(np.arange(info.value.order), 1)))
+        assert np.abs(ms.log_moments - LOG_PI - log_factorials).max() < 1e-9
 
     def test_disc_values_match_closed_form(self):
         ms = MomentSequence(DiscPolynomial(2.5))

@@ -241,6 +241,13 @@ class TestHypothesisChecker:
         assert not report.check("superlinear_growth").passed
         assert not report.all_passed
 
+    def test_overflowing_integral_is_reported_not_raised(self):
+        # exp(-(|z|^2 - 1000)) integrates to pi e^1000, past the double range
+        pw = PshWeight(1, lambda z: np.abs(z[..., 0]) ** 2 - 1000.0)
+        check = check_hilbert_schmidt_hypotheses(pw, 1.0, 2.0).check("integrability")
+        assert not check.passed
+        assert "overflows a double" in check.detail
+
     def test_tau_sigma_order(self):
         with pytest.raises(ParameterDomainError):
             check_hilbert_schmidt_hypotheses(quadratic(), 2.0, 1.0)
