@@ -285,9 +285,12 @@ def _radial_quad(log_density, radius, rel_tol, orders=0, fn=None):
 
     # the ends test: ln |f_n fn| at each end of s and one unit inside it
     r_end, logp, _ = log_weight(np.array([lo, lo + 1.0, hi, hi - 1.0]))
-    if fn is not None and (live := logp[0] > _LOG_TINY).any():
+    if fn is not None:  # fn only sees live radii; the others count as 0
+        live = logp[0] > _LOG_TINY
         with np.errstate(divide="ignore"):
-            logp[:, live] += np.log(np.abs(np.atleast_2d(fn(r_end[live])))).max(axis=0)
+            if live.any():
+                logp[:, live] += np.log(np.abs(np.atleast_2d(fn(r_end[live])))).max(axis=0)
+        logp[:, ~live] = -np.inf
     ends = logp[:, ::2]
     with np.errstate(invalid="ignore"):
         slope = ends - logp[:, 1::2]  # outward, per unit of s

@@ -459,6 +459,15 @@ class TestQuadratureOracles:
             assert time.perf_counter() - t0 < 1.0
             assert abs(got) <= 1e-8 * floor
 
+    def test_reproduce_where_k_f_underflows_at_the_inner_end(self):
+        # near r = 0 the disc's map probes radii 6e-176 (where r^2 times the
+        # density is below the double range, so fn is not called) and 4e-65
+        # (where |K f|^2 of f = z^3 underflows to 0): both count as 0
+        f = HolomorphicCoeffs([0, 0, 0, 1])
+        for alpha in (0.0, 2.5):
+            got = reproduce_check(MomentSequence(DiscPolynomial(alpha)), f, 0.1)
+            assert abs(got - 1e-3) < 1e-14
+
     def test_oracles_past_the_double_range(self):
         # 1e300 on the disc of radius 1e10: c_0^2 = pi 1e320, and the defect
         # integral passes the double range too; the kernel is scaled by c_0^2
