@@ -341,8 +341,9 @@ def criterion_reproducing(seed, report):
                    check="reproduce", z=str(z), expected=str(want), got=str(got),
                    rel_dev=dev)
 
-    # kernel point values against closed forms (the same series feeds the
-    # reproducing integral, but here it is summed by the public evaluator)
+    # kernel point values against closed forms (the reproducing integral
+    # takes only the series' first deg f + 1 coefficients; here the whole
+    # series is summed by the public evaluator)
     ms_f = MomentSequence(FockExponential(2.0))
     ms_d = MomentSequence(DiscPolynomial(0.0))
     kernel_cases = [

@@ -9,9 +9,12 @@ LOG_DBL_MAX = math.log(np.finfo(float).max)
 
 
 class DbarKitError(Exception):
-    """Base class for all toolkit-specific failures."""
+    """Base class for all toolkit-specific failures; ``order`` is the moment
+    order a failure concerns, if any."""
 
-    order: int | None = None  # the moment order a failure concerns, if any
+    def __init__(self, message: str, order: int | None = None):
+        super().__init__(message)
+        self.order = None if order is None else int(order)
 
 
 class ParameterDomainError(DbarKitError, ValueError):
@@ -56,10 +59,6 @@ def check_rel_tol(rel_tol: float) -> None:
 
 class DivergenceError(DbarKitError, ArithmeticError):
     """A moment integral diverges, or the integrand produced non-finite values."""
-
-    def __init__(self, message: str, order: int | None = None):
-        super().__init__(message)
-        self.order = order
 
 
 class QuadratureError(DbarKitError, ArithmeticError):

@@ -16,8 +16,6 @@ and every formula acts coefficientwise, so desk-scale verification loses
 nothing; genuinely infinite expansions are out of scope.
 """
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +27,7 @@ from .errors import (
     check_index,
     check_rel_tol,
 )
-from .special import _kernel_series, _log_series_terms
+from .special import _kernel_series
 from .spectrum import eigenvalue
 from .weights import MomentSequence, _radial_quad, _scaled
 
@@ -223,38 +221,44 @@ def defect_norm_quadrature(f: HolomorphicCoeffs, rho: float,
                            rel_tol: float = 1e-10) -> float:
     """integral of |zbar f(rho z) - P(zbar f_rho)(z)|^2 dmu by quadrature.
 
-    Radial-angular: the angular mean of the squared difference is the sum of
-    its modes' squared moduli (Parseval); the radial integral is adaptive.
-    Must agree with :func:`defect_norm_sq`.
+    Radial-angular: the angular mean of the squared difference is exactly
+    the sum of its modes' squared moduli (Parseval).  Its log joins the
+    weight's log density, so the adaptive radial integral of order 0 keeps
+    it on a log scale.  Must agree with :func:`defect_norm_sq`.
     """
-    if not (0.0 < rho < 1.0):
-        raise ParameterDomainError(f"rho must lie in (0, 1), got {rho!r}")
     weight = moments.weight
     proj = project_dilated(f, rho, moments)
     # zbar z^k = r^2 z^(k-1), so mode k-1 of the difference at radius r is
-    # lead_k r^(k+1) - back_k r^(k-1)
+    # r^(k-1) (lead_k r^2 - back_k)
     k = np.arange(f.degree + 1)
     lead = np.array(f.coeffs) * rho ** k
     back = np.zeros(len(k), dtype=complex)
     back[1:1 + len(proj.coeffs)] = proj.coeffs
 
-    def angular_mean(rs):
-        r = rs[:, None]
-        diff = lead * r ** (k + 1) - back * r ** np.maximum(k - 1, 0)
-        return np.sum(diff.real ** 2 + diff.imag ** 2, axis=1)
+    def log_density(r):  # + ln of the angular mean, by log-sum-exp over modes
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = (2.0 * np.log(np.abs(np.multiply.outer(lead, r * r) - back[:, None]))
+                    + np.multiply.outer(2.0 * k - 2.0, np.log(r)))
+            top = logs.max(axis=0, initial=-np.inf)
+            total = top + np.log(np.exp(logs - top).sum(axis=0))
+        return weight.log_density(r) + np.where(top == -np.inf, -np.inf, total)
 
-    values, shift = _radial_quad(weight.log_density, weight.support_radius,
-                                 rel_tol, fn=angular_mean)
-    return float(_scaled(values[0].real, shift[0]))
+    values, shift = _radial_quad(log_density, weight.support_radius, rel_tol)
+    return float(_scaled(values[0], shift[0]))
 
 
 def reproduce_check(moments: MomentSequence, f: HolomorphicCoeffs, z: complex,
                     rel_tol: float = 1e-8) -> complex:
     """integral of K(z, w) f(w) dmu(w), which must reproduce f(z).
 
-    Validates the kernel series and the quadrature stack jointly.  Restricted
-    to low degrees (<= 10) where the angular aliasing of the fixed 128-angle
-    grid is far below every tolerance in use.
+    On the circle |w| = r the angular mean of K(z, w) f(w) is exactly
+    sum_k a_k z^k r^(2k) / c_k^2, since the monomials are orthogonal there.
+    So the integral is sum_k a_k z^k Q_k / c_k^2, with Q_k = 2 pi int
+    r^(2k+1) dmu(r) from one block of the radial integrator at ``rel_tol``
+    and ln(1/c_k^2) the kernel series' coefficient, -ln c_0^2 minus the
+    running sum of the log ratios: it checks the quadrature against the
+    moments the kernel is summed from, to within ``rel_tol`` sum_k |a_k z^k|.
+    Restricted to degree <= 10.
     """
     check_rel_tol(rel_tol)
     if f.degree > 10:
@@ -266,34 +270,14 @@ def reproduce_check(moments: MomentSequence, f: HolomorphicCoeffs, z: complex,
         raise ConvergenceDomainError(
             f"evaluation point must satisfy |z| < {weight.support_radius!r}, "
             f"got |z|={abs(z)!r}")
-    ntheta = 128
-    absz, unit, log_c0 = abs(z), np.exp(1j * cmath.phase(z)), moments.log_moment(0)
-    coeffs = ntheta * np.array(f.coeffs)  # f on the circles: ifft of these * r^k
-
-    def circle_means(rs):  # of c_0^2 K f and its square at the angles 2 pi j /
-        # ntheta: K(z, r e^(i theta)) sums (z r)^n e^(-i n theta) / c_n^2 over n,
-        # in log scale, which folded by n mod ntheta is one FFT
-        n = np.arange(len(_log_series_terms(log_c0, moments.log_ratio,
-                                            absz * float(rs.max()))))
-        log_x = np.log(np.maximum(absz * rs, np.finfo(float).tiny))
-        terms = unit ** n * np.exp(np.outer(log_x, n) + (log_c0 - moments.log_moment(n)))
-        terms = np.pad(terms, ((0, 0), (0, -len(n) % ntheta)))
-        kf = np.fft.fft(terms.reshape(len(rs), -1, ntheta).sum(axis=1)) * np.fft.ifft(
-            coeffs * rs[:, None] ** np.arange(len(coeffs)), ntheta)
-        return np.mean(kf, axis=1), np.mean(kf.real ** 2 + kf.imag ** 2, axis=1)
-
-    def angular_mean(rs):  # blocks of 64 ascending radii size their own series
-        order = np.argsort(rs)
-        mean, square = np.empty(len(rs), dtype=complex), np.empty(len(rs))
-        for block in np.array_split(order, -(-len(rs) // 64)):
-            mean[block], square[block] = circle_means(rs[block])
-        floor = np.sqrt(square)
-        return np.stack((mean + 2.0 * floor, floor))
-
-    # the floor integrates the root mean square of |K f| over the angles,
-    # smooth in r and at least |mean K f|; shifted by twice it, the first
-    # component's modulus exceeds the floor, so the stop rule err <= rel_tol
-    # |value| holds at a zero of f, where the mean of K f is rounding noise
-    (shifted, floor), shift = _radial_quad(
-        weight.log_density, weight.support_radius, 0.2 * rel_tol, fn=angular_mean)
-    return complex(_scaled(shifted - 2.0 * floor, shift[0] - log_c0))
+    k = np.arange(f.degree + 1)
+    log_coeffs = np.cumsum(np.concatenate(
+        ([-moments.log_moment(0)], -moments.log_ratio(k[:-1]))))
+    values, shift = _radial_quad(weight.log_density, weight.support_radius,
+                                 rel_tol, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = complex(np.sum(np.array(f.coeffs) * z ** k * values
+                               * np.exp(shift + log_coeffs)))
+    if not np.isfinite(total):
+        raise UnrepresentableError("the reproducing integral overflows a double")
+    return total

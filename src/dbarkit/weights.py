@@ -227,27 +227,21 @@ WeightSpec = Union[DiscPolynomial, FockExponential, CustomRadial]
 
 
 _BLOCK = 64  # orders per pass of the radial integrator
-_CELLS = 32  # initial cells in s; 8 with fn, of low order and costly per node
+_CELLS = 32  # initial cells in s, the same for every pass
 # s stops where r = R exp(-e^(-s)) still rounds below R, and at r = e^s = 1e12
 _FINITE_SPAN, _PLANE_SPAN = (-6.0, 36.5), (-40.0, math.log(1e12))
 _TINY = np.finfo(float).tiny
 _HEADROOM = 600.0  # of ln f_n over its shift, short of overflow in exp
 
 
-def _failure(cls, n, message):
-    exc = cls(message)
-    exc.order = int(n)
-    return exc
-
-
-def _radial_quad(log_density, radius, rel_tol, orders=0, fn=None):
-    """2 pi * integral over [0, radius] of r^(2n+1) exp(log_density(r)) fn(r) dr
-    for each order n, in one adaptive pass to ``rel_tol`` / 4 per component
-    over s: r = R exp(-e^(-s)) on a finite support R, s in [-6, 36.5], and
-    r = e^s on the plane, s in [-40, ln 1e12].  Returns ``(values,
-    log_scales)``, the integrals being values * exp(log_scales), one per
-    order, or for a single order one per component of ``fn``, which maps live
-    radii to shape (len(r),) or (j, len(r)).
+def _radial_quad(log_density, radius, rel_tol, orders=0):
+    """2 pi * integral over [0, radius] of r^(2n+1) exp(log_density(r)) dr
+    for each order n, in one adaptive pass to ``rel_tol`` / 4 per order over
+    s: r = R exp(-e^(-s)) on a finite support R, s in [-6, 36.5], and r = e^s
+    on the plane, s in [-40, ln 1e12], from ``_CELLS`` initial cells.
+    Returns ``(values, log_scales)``, the integrals being values *
+    exp(log_scales), one per order.  An integrand that is not a moment, such
+    as an angular mean, goes in as part of ``log_density``.
 
     ln f_n = ln 2 pi + (2n+2) ln r + log_density(r) + ln(d ln r / ds), with
     ln r exact from s, is shifted per order by its maximum on the initial
@@ -255,17 +249,17 @@ def _radial_quad(log_density, radius, rel_tol, orders=0, fn=None):
     order as ``order``: :class:`UnrepresentableError` where rounding r next
     to the peak moves ln f_n by (n+1) eps > rel_tol, where a density below
     the normal double range (NaN from ``log_density``) may matter, or where a
-    peak passes its shift by e^600; :class:`DivergenceError` unless ln |f_n
-    fn|, probed at both ends of s and one unit inside, decays outward with
-    its tail past the ends below rel_tol of the value.
+    peak passes its shift by e^600; :class:`DivergenceError` unless ln f_n,
+    probed at both ends of s and one unit inside, decays outward with its
+    tail past the ends below rel_tol of the value.
     """
     orders, eps = np.atleast_1d(orders), np.finfo(float).eps
     power = 2.0 * orders + 2.0
     if (coarse := orders[(orders + 1) * eps > rel_tol]).size:
-        raise _failure(UnrepresentableError, coarse[0], (
+        raise UnrepresentableError(
             f"rounding r to a double moves the radial integrand of order {coarse[0]} "
             f"at its peak by up to (n+1) eps = {(coarse[0] + 1) * eps:.2e}, more "
-            "than rel_tol"))
+            "than rel_tol", order=coarse[0])
     finite = math.isfinite(radius)
     lo, hi = _FINITE_SPAN if finite else _PLANE_SPAN
 
@@ -279,69 +273,56 @@ def _radial_quad(log_density, radius, rel_tol, orders=0, fn=None):
         logw = np.multiply.outer(power, log_r)
         logw += LOG_2PI + log_jac + np.where(under, _LOG_TINY, log_rho)
         if (bad := (logw == np.inf).any(axis=0)).any():
-            raise _failure(DivergenceError, orders[0],
-                           f"the density is infinite at r = {r[bad][0]!r}")
+            raise DivergenceError(f"the density is infinite at r = {r[bad][0]!r}",
+                                  order=orders[0])
         return r, logw, under
 
-    # the ends test: ln |f_n fn| at each end of s and one unit inside it
+    # the ends test: ln f_n at each end of s and one unit inside it
     r_end, logp, _ = log_weight(np.array([lo, lo + 1.0, hi, hi - 1.0]))
-    if fn is not None:  # fn only sees live radii; the others count as 0
-        live = logp[0] > _LOG_TINY
-        with np.errstate(divide="ignore"):
-            if live.any():
-                logp[:, live] += np.log(np.abs(np.atleast_2d(fn(r_end[live])))).max(axis=0)
-        logp[:, ~live] = -np.inf
     ends = logp[:, ::2]
     with np.errstate(invalid="ignore"):
         slope = ends - logp[:, 1::2]  # outward, per unit of s
     if not ((slope < 0.0) | (ends == -np.inf)).all():
         k, end = np.argwhere(~((slope < 0.0) | (ends == -np.inf)))[0]
-        raise _failure(DivergenceError, orders[k], (
+        raise DivergenceError(
             f"the radial integrand of order {orders[k]} does not decay toward "
-            f"r = {r_end[2 * end]:.3g}"))
-    shift, shape = None, ()
+            f"r = {r_end[2 * end]:.3g}", order=orders[k])
+    shift = None
 
     def integrand(s):
-        nonlocal shift, shape
-        r, logw, under = log_weight(s)
+        nonlocal shift
+        _, logw, under = log_weight(s)
         if shift is None:
             shift = logw.max(axis=1)
             shift[shift == -np.inf] = 0.0
         logw -= shift[:, None]
         if (matters := (logw[:, under] > math.log(rel_tol)).any(axis=1)).any():
-            raise _failure(UnrepresentableError, orders[np.argmax(matters)], (
+            raise UnrepresentableError(
                 "the density underflows the double range where the radial "
-                f"integrand of order {orders[np.argmax(matters)]} may not be negligible"))
+                f"integrand of order {orders[np.argmax(matters)]} may not be negligible",
+                order=orders[np.argmax(matters)])
         logw[:, under] = -np.inf
         if (high := logw.max(axis=1) > _HEADROOM).any():
-            raise _failure(UnrepresentableError, orders[np.argmax(high)], (
+            raise UnrepresentableError(
                 f"the radial integrand of order {orders[np.argmax(high)]} peaks "
-                f"between the initial nodes, more than e^{_HEADROOM:.0f} above them"))
-        w = np.exp(logw, out=logw)
-        if fn is None:
-            return w
-        live = w[0] > 0.0
-        got = np.asarray(fn(r[live])) if live.any() else np.zeros(shape + (0,))
-        shape = got.shape[:-1]
-        out = np.zeros(shape + s.shape, dtype=got.dtype)
-        out[..., live] = got
-        return w[0] * out
+                f"between the initial nodes, more than e^{_HEADROOM:.0f} above them",
+                order=orders[np.argmax(high)])
+        return np.exp(logw, out=logw)
 
     try:
-        values = np.atleast_1d(adaptive_quad(
-            integrand, lo, hi, 0.25 * rel_tol, initial=_CELLS if fn is None else 8)[0])
+        values = adaptive_quad(integrand, lo, hi, 0.25 * rel_tol, initial=_CELLS)[0]
     except QuadratureError as exc:  # it names the first order left open
-        open_ = np.atleast_1d(exc.estimate) > 0.25 * rel_tol * np.abs(exc.value)
-        exc.order = int(np.broadcast_to(orders, open_.shape)[np.argmax(open_)])
+        open_ = exc.estimate > 0.25 * rel_tol * np.abs(exc.value)
+        exc.order = int(orders[np.argmax(open_)])
         raise
     with np.errstate(divide="ignore", invalid="ignore"):
         tail = np.fmax.reduce(ends - np.log(-slope), axis=1) - shift
         big = tail > math.log(rel_tol) + np.log(np.abs(values))
     if big.any():
-        n = np.broadcast_to(orders, big.shape)[np.argmax(big)]
-        raise _failure(DivergenceError, n, (
+        n = orders[np.argmax(big)]
+        raise DivergenceError(
             f"the tail of the radial integrand of order {n} below r = {r_end[0]:.3g} "
-            f"or past r = {r_end[2]:.3g} exceeds rel_tol of the value"))
+            f"or past r = {r_end[2]:.3g} exceeds rel_tol of the value", order=n)
     return values, shift
 
 
@@ -370,7 +351,7 @@ def moment_quadrature(weight: WeightSpec, n, rel_tol: float = 1e-10):
                                  rel_tol, n)
     if (bad := values <= 0.0).any():  # a density that is 0 almost everywhere
         k = np.atleast_1d(n)[np.argmax(bad)]
-        raise _failure(DivergenceError, k, f"moment of order {k} is not positive")
+        raise DivergenceError(f"moment of order {k} is not positive", order=k)
     return float_or_array(np.reshape(np.log(values) + shift, np.shape(n)))
 
 

@@ -1,8 +1,9 @@
 """Property tests: every kernel evaluation ends in a finite value or a
 typed error (the ball kernel's values match its closed form), the solver's
-defect norm stays within its bound constant, every power-law moment ends in
-its value or a DivergenceError, and the moment oracle of the disc and Fock
-weights ends in the closed form or a typed error, within a time budget."""
+defect norm stays within its bound constant, the reproducing integral ends in
+f(z) or a typed error, every power-law moment ends in its value or a
+DivergenceError, and the moment oracle of the disc and Fock weights ends in
+the closed form or a typed error, within a time budget."""
 
 import math
 
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from dbarkit.ball2d import ball_kernel_series
 from dbarkit.errors import DbarKitError, DivergenceError
 from dbarkit.solver import (HolomorphicCoeffs, bound_constant, defect_norm_sq,
-                            kernel_eval, space_norm_sq)
+                            kernel_eval, reproduce_check, space_norm_sq)
 from dbarkit.weights import (CustomRadial, DiscPolynomial, FockExponential,
                              MomentSequence, moment_quadrature)
 
@@ -82,6 +83,24 @@ def test_defect_norm_within_bound_constant(weight, coeffs, rho):
     except DbarKitError:
         return
     assert defect <= bound * (1.0 + 1e-12)
+
+
+# the reproducing integral up to |z| = 0.999 on the disc and 5 on the plane:
+# f(z) to within 1e-7 of sum_k |a_k z^k|, or a typed error
+@settings(derandomize=True, deadline=1000, max_examples=300)
+@given(case=st.one_of(
+    st.tuples(st.floats(0.0, 10.0).map(DiscPolynomial), _points(0.999)),
+    st.tuples(st.floats(0.5, 6.0).map(FockExponential), _points(5.0))),
+    coeffs=st.lists(_points(1e3), max_size=11))
+def test_reproduce_check_value_or_typed(case, coeffs):
+    weight, z = case
+    f = HolomorphicCoeffs(coeffs)
+    try:
+        got = reproduce_check(MomentSequence(weight), f, z)
+    except DbarKitError:
+        return
+    scale = sum(abs(a) * abs(z) ** k for k, a in enumerate(f))
+    assert abs(got - f(z)) <= 1e-7 * scale
 
 
 # 2 pi int r^(2n+1) (1+r)^-p dr = 2 pi B(2n+2, d) with d = p - 2n - 2: it

@@ -446,11 +446,45 @@ class TestQuadratureOracles:
             defect_norm_quadrature(HolomorphicCoeffs([1.0]), 0.5, ms)
         assert time.perf_counter() - t0 < 1.0
 
+    @pytest.mark.parametrize("weight, z", [(DiscPolynomial(0.0), 0.99),
+                                           (DiscPolynomial(5.0), 0.99),
+                                           (FockExponential(4.0), 3.0)])
+    def test_reproduce_one_near_the_edge(self, weight, z):
+        # the kernel's modes past deg f average to exactly 0 on each circle,
+        # so none of them can alias onto f = 1, however slowly K decays
+        got = reproduce_check(MomentSequence(weight), HolomorphicCoeffs([1.0]), z)
+        assert abs(got - 1.0) < 1e-8
+
+    def test_reproduce_degree_10_far_out(self, fock2):
+        rng = np.random.default_rng(0)
+        f = HolomorphicCoeffs(rng.standard_normal(11) + 1j * rng.standard_normal(11))
+        z = 10.0
+        scale = sum(abs(a) * z ** k for k, a in enumerate(f))
+        assert abs(reproduce_check(fock2, f, z) - f(z)) < 1e-8 * scale
+
+    def test_reproduce_overflow_is_typed(self, fock2):
+        # z^10 at |z| = 1e31 is past the double range
+        with pytest.raises(UnrepresentableError):
+            reproduce_check(fock2, HolomorphicCoeffs([0] * 10 + [1]), 1e31)
+
+    def test_reproduce_at_a_zero_of_a_monomial(self):
+        # only the z^10 term is left, and it is 0 at z = 0 whatever c_10^2 is
+        f = HolomorphicCoeffs([0] * 10 + [1])
+        assert reproduce_check(MomentSequence(FockExponential(0.5)), f, 0) == 0
+
+    def test_defect_quadrature_past_the_linear_scale(self):
+        # z^40 on exp(-|z|^0.5): near r = 2e4, where the integrand peaks, the
+        # angular mean alone is e^758, past the double range, so it is formed
+        # as a log; the norm is 1.457e276
+        ms = MomentSequence(FockExponential(0.5))
+        f = HolomorphicCoeffs([0] * 40 + [1])
+        want = defect_norm_sq(f, 0.5, ms)
+        assert defect_norm_quadrature(f, 0.5, ms) == pytest.approx(want, rel=1e-8)
+
     def test_reproduce_at_a_zero_of_f_is_fast(self):
-        # f = z at z = 0: the mean of K f is rounding noise, so the stop rule
-        # takes its floor from |K f| = r / c_0^2, whose integral is
-        # int |w| dmu / c_0^2: 2/3 on the unit disc, Gamma(10) / Gamma(20/3)
-        # on exp(-|z|^0.3)
+        # f = z at z = 0: the value must vanish to within rel_tol of the
+        # integral of |K f| = r / c_0^2, which is int |w| dmu / c_0^2: 2/3 on
+        # the unit disc, Gamma(10) / Gamma(20/3) on exp(-|z|^0.3)
         for weight, floor in ((DiscPolynomial(0.0), 2.0 / 3.0),
                               (FockExponential(0.3),
                                math.exp(math.lgamma(10.0) - math.lgamma(20.0 / 3.0)))):
@@ -460,9 +494,9 @@ class TestQuadratureOracles:
             assert abs(got) <= 1e-8 * floor
 
     def test_reproduce_where_k_f_underflows_at_the_inner_end(self):
-        # near r = 0 the disc's map probes radii 6e-176 (where r^2 times the
-        # density is below the double range, so fn is not called) and 4e-65
-        # (where |K f|^2 of f = z^3 underflows to 0): both count as 0
+        # near r = 0 the disc's map probes radii 6e-176 and 4e-65, where the
+        # integrand of order 3 lies far below the double range: its log still
+        # decays outward there, and exp of it counts as 0
         f = HolomorphicCoeffs([0, 0, 0, 1])
         for alpha in (0.0, 2.5):
             got = reproduce_check(MomentSequence(DiscPolynomial(alpha)), f, 0.1)
@@ -470,15 +504,15 @@ class TestQuadratureOracles:
 
     def test_oracles_past_the_double_range(self):
         # 1e300 on the disc of radius 1e10: c_0^2 = pi 1e320, and the defect
-        # integral passes the double range too; the kernel is scaled by c_0^2
-        # within the pass, so K f integrates to f(1) = 1, to the accuracy of
-        # its floor, here (R / |z|) times |f(z)|
+        # integral passes the double range too; the kernel's coefficient
+        # 1/c_1^2 meets the radial integral on a log scale, so K f integrates
+        # to f(1) = 1 within rel_tol
         ms = MomentSequence(CustomRadial(lambda r: np.full_like(r, 1e300), 1e10))
         f = HolomorphicCoeffs([0, 1])
         for call in (defect_norm_sq, defect_norm_quadrature):
             with pytest.raises(UnrepresentableError):
                 call(f, 0.5, ms)
-        assert abs(reproduce_check(ms, f, 1.0) - 1.0) < 1e-5
+        assert abs(reproduce_check(ms, f, 1.0) - 1.0) < 1e-8
 
     def test_reproduce_custom_support_domain(self):
         ms = MomentSequence(CustomRadial(lambda r: np.ones_like(r), 2.0))
