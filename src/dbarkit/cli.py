@@ -7,15 +7,18 @@ Subcommands
 ``solve``      apply the solution operator to a coefficient file
 ``reproduce``  run the acceptance criteria and write one artifact per criterion
 
-Exit codes: 0 success, 2 parameter-domain error, 3 input error (files,
-malformed data), 4 numerical failure (divergence, quadrature or series
-truncation, overflow or any other arithmetic error, a point outside the
-convergence domain, an inconclusive supremum), 5 acceptance failure.
+Exit codes: 0 success, 2 parameter-domain error, 3 input error (a file
+that cannot be read or an ``--out`` that cannot be written, malformed data),
+4 numerical failure (divergence, quadrature or series truncation, overflow
+or any other arithmetic error, a point outside the convergence domain, an
+inconclusive supremum), 5 acceptance failure.
 
 Output is deterministic: a fixed seed yields byte-identical files.  Reals are
 printed with 17 significant digits; values whose natural log exceeds 700 in
 magnitude are emitted as decimal strings built from the log so nothing ever
-overflows.
+overflows.  Every table is streamed to its destination (the ``--out`` file
+or stdout) as it is formatted, one block of 4096 rows at a time, so the
+writer holds one block of text however long the table is.
 """
 
 import argparse
@@ -163,12 +166,12 @@ def _cells(column, json_cells: bool = False) -> list:
     return cells
 
 
-def _cell_rows(columns: dict, json_cells: bool = False):
-    """The rows of a table of named columns as tuples of text cells, made
-    4096 rows at a time so that the cells of one block only are held."""
+def _row_blocks(columns: dict, json_cells: bool = False):
+    """The rows of a table of named columns as tuples of text cells, one
+    iterator per block of 4096 rows, so that the cells of one block only are
+    held."""
     for lo in range(0, len(next(iter(columns.values()), ())), 4096):
-        blocks = (_cells(c[lo:lo + 4096], json_cells) for c in columns.values())
-        yield from zip(*blocks)
+        yield zip(*(_cells(c[lo:lo + 4096], json_cells) for c in columns.values()))
 
 
 def _columns(rows) -> dict:
@@ -176,13 +179,36 @@ def _columns(rows) -> dict:
     return {k: [row.get(k) for row in rows] for k in rows[0]} if rows else {}
 
 
+def _csv_chunks(columns: dict, footer=None):
+    """CSV of a table given as named columns of equal length: the header,
+    one chunk per block of rows, then the footer."""
+    if columns or not footer:
+        yield ",".join(columns) + "\n"
+    for block in _row_blocks(columns):
+        yield "".join(",".join(r) + "\n" for r in block)
+    if footer:
+        yield ",".join(_csv_cell(v) for v in footer) + "\n"
+
+
+def _json_chunks(body: dict, columns: dict):
+    """The JSON envelope ``body``, its ``"rows": []`` filled with the table
+    given as named columns of equal length, one chunk per block of rows."""
+    text = json.dumps(body, indent=2) + "\n"
+    if not len(next(iter(columns.values()), ())):
+        yield text
+        return
+    head, tail = text.split('"rows": []', 1)
+    keys = (json.dumps(k).replace("%", "%%") for k in columns)
+    row = "    {\n" + ",\n".join(f"      {k}: %s" for k in keys) + "\n    }"
+    yield head + '"rows": [\n'
+    for i, block in enumerate(_row_blocks(columns, True)):
+        yield (",\n" if i else "") + ",\n".join(row % r for r in block)
+    yield "\n  ]" + tail
+
+
 def columns_to_csv(columns: dict, footer=None) -> str:
     """CSV of a table given as named columns of equal length."""
-    lines = [",".join(columns)] if columns else []
-    lines.extend(map(",".join, _cell_rows(columns)))
-    if footer:
-        lines.append(",".join(_csv_cell(v) for v in footer))
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_chunks(columns, footer))
 
 
 def rows_to_csv(rows, footer=None) -> str:
@@ -192,11 +218,24 @@ def rows_to_csv(rows, footer=None) -> str:
 def columns_to_json(body: dict, columns: dict) -> str:
     """The JSON envelope ``body``, its ``"rows": []`` filled with the table
     given as named columns of equal length."""
-    text = json.dumps(body, indent=2) + "\n"
-    keys = (json.dumps(k).replace("%", "%%") for k in columns)
-    row = "    {\n" + ",\n".join(f"      {k}: %s" for k in keys) + "\n    }"
-    rows = ",\n".join(row % r for r in _cell_rows(columns, True))
-    return text.replace('"rows": []', f'"rows": [\n{rows}\n  ]', 1) if rows else text
+    return "".join(_json_chunks(body, columns))
+
+
+def _write(chunks, path) -> None:
+    """Write text chunks to the file ``path``, or to stdout when it is None.
+    A file that cannot be opened or written is an ``InputError`` naming it."""
+    if path is None:
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
+    except OSError as exc:
+        raise _unwritable(path, exc) from None
+
+
+def _unwritable(path, exc: OSError) -> InputError:
+    return InputError(f"cannot write {str(path)!r}: {exc.strerror or exc}")
 
 
 def _emit(config: RunConfig, columns: dict, verdict=None, footer=None) -> int:
@@ -205,13 +244,10 @@ def _emit(config: RunConfig, columns: dict, verdict=None, footer=None) -> int:
         body = {"command": config.command, "config": config.as_dict(), "rows": []}
         if verdict is not None:
             body["verdict"] = verdict
-        text = columns_to_json(body, columns)
+        chunks = _json_chunks(body, columns)
     else:
-        text = columns_to_csv(columns, footer=footer)
-    if config.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(config.out).write_text(text, encoding="utf-8")
+        chunks = _csv_chunks(columns, footer)
+    _write(chunks, config.out)
     return EXIT_OK
 
 
@@ -305,25 +341,28 @@ def cmd_solve(config: RunConfig) -> int:
 
 
 def cmd_reproduce(config: RunConfig) -> int:
-    results = run_criteria(only=config.only, seed=config.seed)
     outdir = None
     if config.out is not None:
         outdir = Path(config.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _unwritable(outdir, exc) from None
+    results = run_criteria(only=config.only, seed=config.seed)
     all_passed = True
     for res in results:
         all_passed = all_passed and res.passed
         sys.stdout.write(res.summary() + "\n")
         if outdir is not None:
             if config.fmt == "json":
-                text = columns_to_json(
+                chunks = _json_chunks(
                     {"command": "reproduce", "criterion": res.cid, "title": res.title,
                      "pass": res.passed, "failures": res.failures, "rows": []},
                     _columns(res.rows))
             else:
-                footer = ["result", "PASS" if res.passed else "FAIL"]
-                text = rows_to_csv(res.rows, footer=footer)
-            (outdir / f"{res.cid}.{config.fmt}").write_text(text, encoding="utf-8")
+                chunks = _csv_chunks(_columns(res.rows),
+                                     ["result", "PASS" if res.passed else "FAIL"])
+            _write(chunks, outdir / f"{res.cid}.{config.fmt}")
     sys.stdout.write(("all criteria PASS" if all_passed
                       else "some criteria FAILED") + "\n")
     return EXIT_OK if all_passed else EXIT_ACCEPTANCE

@@ -89,13 +89,18 @@ class DiscPolynomial:
         return f"disc:alpha={repr(self.alpha).removesuffix('.0')}"
 
     def log_moment(self, n):
-        """ln c_n^2 = ln pi + ln n! - sum_{j=1}^{n+1} ln(alpha+j).
+        """ln c_n^2 = ln pi + ln n! + ln Gamma(alpha+1) - ln Gamma(alpha+n+2).
 
-        The sum is ln Gamma(alpha+n+2) - ln Gamma(alpha+1), taken as one
-        log-gamma ratio, so it stays accurate for huge alpha.
+        Of the two large log-gammas, the one of the larger argument is paired
+        with ln Gamma(alpha+n+2) in one log-gamma ratio, so that no two
+        numbers of size n ln n (or alpha ln alpha) are subtracted: it stays
+        accurate both for huge n and for huge alpha.
         """
         n = check_index(n, "moment order")
-        return LOG_PI + log_factorial(n) - log_gamma_ratio(self.alpha + 1.0, n + 1.0)
+        a = self.alpha
+        large_n = LOG_PI + log_gamma(a + 1.0) - log_gamma_ratio(n + 1.0, a + 1.0)
+        large_a = LOG_PI + log_factorial(n) - log_gamma_ratio(a + 1.0, n + 1.0)
+        return float_or_array(np.where(n + 1.0 > a, large_n, large_a))
 
     def log_ratio(self, n):
         """ln((n+1) / (alpha+n+2))."""

@@ -2,13 +2,15 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
 import numpy as np
 
-from dbarkit.cli import (RunConfig, _json_cell, columns_to_csv, columns_to_json,
-                         main, parse_weight, render_from_log, rows_to_csv)
+from dbarkit.cli import (RunConfig, _emit, _json_cell, columns_to_csv,
+                         columns_to_json, main, parse_weight, render_from_log,
+                         rows_to_csv)
 from dbarkit.criteria import DEFAULT_SEED, run_criteria
 from dbarkit.errors import ParameterDomainError
 from dbarkit.spectrum import diagnostics, stirling_surrogate
@@ -202,6 +204,86 @@ class TestColumnWriter:
             body = json.loads(out)
             config = RunConfig(command="spectrum", weight=weight, n_max=40, fmt="json")
             assert out == _envelope(config, rows, body["verdict"])
+
+
+class TestStreamedWriter:
+    # tables of 4095 to 8192 rows: one block short of, at, one row past and at
+    # twice the 4096-row block of the writer
+    @pytest.mark.parametrize("n_max", [4094, 4095, 4096, 8191])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_block_edges(self, n_max, fmt, to_file, tmp_path, capsys):
+        path = tmp_path / f"t.{fmt}"
+        argv = ["spectrum", "--weight", "fock:m=3", "--n-max", str(n_max),
+                "--format", fmt] + (["--out", str(path)] if to_file else [])
+        assert main(argv) == 0
+        out = path.read_text(encoding="utf-8") if to_file else capsys.readouterr().out
+        d = diagnostics(MomentSequence(FockExponential(3.0)), n_max)
+        n = np.arange(n_max + 1)
+        # the surrogate's n = 0 cell is masked
+        sur = stirling_surrogate(3.0, np.maximum(n, 1))
+        columns = {"n": n, "lambda": d.lambdas, "partial_sum": d.partial_sums,
+                   "ratio": d.ratios,
+                   "stirling_surrogate": np.ma.masked_array(sur, mask=n == 0)}
+        rows = [{"n": k, "lambda": lam, "partial_sum": ps, "ratio": r,
+                 "stirling_surrogate": s if k else None}
+                for k, lam, ps, r, s in zip(n.tolist(), d.lambdas.tolist(),
+                                            d.partial_sums.tolist(),
+                                            d.ratios.tolist(), sur.tolist())]
+        if fmt == "csv":
+            footer = out.splitlines(keepends=True)[-1]
+            assert footer.startswith("classification,")
+            assert out == columns_to_csv(columns) + footer == rows_to_csv(rows) + footer
+        else:
+            body = json.loads(out)
+            assert len(body["rows"]) == n_max + 1
+            assert body["rows"][0]["stirling_surrogate"] is None
+            config = RunConfig(command="spectrum", weight="fock:m=3", n_max=n_max,
+                               fmt="json")
+            envelope = _body(config, body["verdict"])
+            assert out == columns_to_json(envelope, columns) == \
+                _envelope(config, rows, body["verdict"])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_is_independent_of_rows(self, fmt, tmp_path):
+        # the writer holds one block of text at a time, so ten times the rows
+        # must not take more memory to write
+        def peak(rows):
+            x = np.random.default_rng(rows).standard_normal(rows)
+            columns = {"n": np.arange(rows), "x": x}
+            config = RunConfig(command="spectrum", fmt=fmt, out=str(tmp_path / "t"))
+            tracemalloc.start()
+            try:
+                assert _emit(config, columns) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(200_000) <= 1.5 * peak(20_000)
+
+
+class TestWriteFailures:
+    # a destination that cannot be written is an input error naming it
+    @pytest.mark.parametrize("command", ["spectrum", "moments", "solve"])
+    @pytest.mark.parametrize("dest", ["missing-directory", "directory"])
+    def test_unwritable_out(self, command, dest, tmp_path, capsys):
+        coeffs = tmp_path / "f.json"
+        coeffs.write_text("[[0, 0], [1, 0]]")
+        out = tmp_path / "missing" / "t.csv" if dest == "missing-directory" else tmp_path
+        argv = [command, "--weight", "fock:m=2", "--out", str(out)]
+        if command == "solve":
+            argv.append(str(coeffs))
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: cannot write") and str(out) in err
+
+    def test_reproduce_out_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "artifacts"
+        out.write_text("")
+        assert main(["reproduce", "--only", "telescoping", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: cannot write")
+        assert str(out) in captured.err and captured.out == ""
 
 
 class TestSolve:

@@ -88,31 +88,44 @@ class TestClosedForms:
                     worst = max(worst, abs(w.eigenvalue(n) / float(want) - 1))
         assert worst <= 8e-15  # measured 5.2e-15
 
+    @staticmethod
+    def _disc_log_moment(mpmath, alpha, n):
+        # ln c_n^2 = ln pi + ln Gamma(n+1) + ln Gamma(alpha+1) - ln Gamma(alpha+n+2)
+        a = mpmath.mpf(alpha)
+        return float(mpmath.log(mpmath.pi) + mpmath.loggamma(n + 1)
+                     + mpmath.loggamma(a + 1) - mpmath.loggamma(a + n + 2))
+
     def test_disc_log_moment_against_mpmath(self):
-        # ln c_n^2 = ln pi + ln Gamma(n+1) + ln Gamma(alpha+1) - ln Gamma(alpha+n+2);
-        # ln Gamma(n+1) is of size n ln n, and a few ulp of it is what is left
         mpmath = pytest.importorskip("mpmath")
-
-        def want(alpha, n):
-            a = mpmath.mpf(alpha)
-            return float(mpmath.log(mpmath.pi) + mpmath.loggamma(n + 1)
-                         + mpmath.loggamma(a + 1) - mpmath.loggamma(a + n + 2))
-
         worst = 0.0
         with mpmath.workdps(40):
             for alpha in (0.0, 0.5, 1.0, 2.5, 7.3, 10.0, 33.3, 100.0):
                 w = DiscPolynomial(alpha)
                 for n in (0, 1, 2, 7, 50, 100, 999, 2000, 3000):
-                    worst = max(worst, abs(w.log_moment(n) - want(alpha, n)))
-            assert worst <= 2e-11  # measured 1.1e-11
-            ref = want(0.5, 30000)
-            # measured 5.1e-12
-            assert abs(DiscPolynomial(0.5).log_moment(30000) - ref) <= 1e-11 * abs(ref)
+                    worst = max(worst, abs(w.log_moment(n)
+                                           - self._disc_log_moment(mpmath, alpha, n)))
+            assert worst <= 2e-13  # measured 1.1e-13
+            ref = self._disc_log_moment(mpmath, 0.5, 30000)
+            # measured 1.2e-16
+            assert abs(DiscPolynomial(0.5).log_moment(30000) - ref) <= 5e-16 * abs(ref)
             # the closed form holds for huge alpha, where ln Gamma(alpha+1) alone
             # is of size 5e202
             ref = float(mpmath.log(mpmath.pi) + mpmath.loggamma(6) - sum(
                 mpmath.log(mpmath.mpf(1e200) + j) for j in range(1, 7)))
             assert abs(DiscPolynomial(1e200).log_moment(5) - ref) <= 1e-15 * abs(ref)
+
+    def test_disc_log_moment_at_large_n(self):
+        # ln n! and ln Gamma(alpha+n+2) are of size 2.7e7 at n = 2e6, where one
+        # ulp is ~4e-9; their difference is taken as one log-gamma ratio
+        mpmath = pytest.importorskip("mpmath")
+        worst = 0.0
+        with mpmath.workdps(40):
+            for alpha in (0.0, 0.5, 1.0, 2.5):
+                w = DiscPolynomial(alpha)
+                for n in (200_000, 1_000_000, 2_000_000):
+                    worst = max(worst, abs(w.log_moment(n)
+                                           - self._disc_log_moment(mpmath, alpha, n)))
+        assert worst <= 1e-13  # measured 7.1e-15
 
     def test_disc_log_moment_is_o1(self):
         t0 = time.perf_counter()
